@@ -5,7 +5,7 @@
    [reader_writer] is the Fig. 6 shape: a reader holds a pointer it
    read through the tracker's guarded root read while a writer
    detaches, retires and reclaims the block.  Under a sound tracker no
-   interleaving faults; under [Two_ge_unfenced] the window between the
+   interleaving faults; under [Two_ge_ibr.Unfenced] the window between the
    pointer read and the upper-endpoint publication admits a
    use-after-free (3 preemptions), and under [Unsafe_free] almost any
    unlucky ordering does.
@@ -204,7 +204,7 @@ let handoff_drain (entry : Registry.entry) =
    A sound tracker keeps every interleaving fault-free: detach's final
    sweep honours the reader's live reservation, and the joiner's
    reused slot starts from a quiescent reservation instead of aliasing
-   the leaver's.  [Ebr_noflush] — detach frees its pending retirements
+   the leaver's.  [Ebr.Noflush] — detach frees its pending retirements
    without that final guarded sweep — has its use-after-free here
    (2 preemptions), and [Unsafe_free]'s immediate free needs the same
    bound. *)

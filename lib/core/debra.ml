@@ -56,10 +56,7 @@ module Make (P : POLICY) : Tracker_intf.TRACKER = struct
   type 'a t = {
     epoch : Epoch.t;
     reservations : int Atomic.t array;
-    alloc : 'a Alloc.t;
-    cfg : Tracker_intf.config;
-    census : 'a Handoff.path Tracker_common.Census.t;
-    mutable handoff : 'a Handoff.t option;
+    base : 'a Tracker_base.t;
   }
 
   type 'a handle = {
@@ -75,80 +72,42 @@ module Make (P : POLICY) : Tracker_intf.TRACKER = struct
 
   (* Same single-threshold conflict as EBR: reclaim every block
      retired before the oldest announcement. *)
-  let make_reclaimer t ~tid =
-    Reclaimer.create ~backend:t.cfg.Tracker_intf.retire_backend
-      ~empty_freq:t.cfg.Tracker_intf.empty_freq
-      ~current_epoch:(fun () -> Epoch.peek t.epoch)
-      ~source:(fun () ->
-        let reservations =
-          Tracker_common.snapshot_reservations t.reservations in
-        let max_safe = Array.fold_left min max_int reservations in
-        Reclaimer.Shape (Tracker_common.Conflict.Threshold max_safe))
-      ~free:(fun b -> Alloc.free t.alloc ~tid b)
-      ()
-
   let create ~threads (cfg : Tracker_intf.config) =
-    Tracker_intf.validate ~threads cfg;
     (* Limbo bags are the scheme: remap the default flat list to the
        epoch-bucketed backend (an explicit [Gated] choice stands). *)
     let cfg =
-      match cfg.Tracker_intf.retire_backend with
+      match cfg.retire_backend with
       | Reclaimer.List -> { cfg with retire_backend = Reclaimer.Buckets }
       | Reclaimer.Buckets | Reclaimer.Gated -> cfg
     in
-    let t = {
-      epoch = Epoch.create ();
-      reservations = Array.init threads (fun _ -> Atomic.make max_int);
-      alloc =
-        Alloc.create ~reuse:cfg.reuse ~magazine_size:cfg.magazine_size
-          ~threads:(threads + if cfg.background_reclaim then 1 else 0) ();
-      cfg;
-      census = Tracker_common.Census.create threads;
-      handoff = None;
-    } in
-    if cfg.background_reclaim then
-      t.handoff <-
-        Some
-          (Handoff.create ~producers:threads ~batch:cfg.handoff_batch
-             (make_reclaimer t ~tid:threads));
-    t
+    let epoch = Epoch.create () in
+    let reservations = Array.init threads (fun _ -> Atomic.make max_int) in
+    let base =
+      Tracker_base.create ~threads cfg
+        ~current_epoch:(fun () -> Epoch.peek epoch)
+        ~source:(fun () () -> Tracker_base.oldest_reservation reservations)
+        ~clear:(fun tid -> Prim.write reservations.(tid) max_int)
+        ()
+    in
+    { epoch; reservations; base }
 
-  let fresh_handle t tid path =
+  let handle t tid path =
     { t; tid; alloc_counter = ref 0; announce_left = ref 0;
       cached = ref (-1); path }
 
-  let register t ~tid =
-    let path =
-      match t.handoff with
-      | Some h -> Handoff.Queued h
-      | None -> Handoff.Direct (make_reclaimer t ~tid)
-    in
-    Alloc.set_pressure_hook t.alloc ~tid (fun () ->
-      Handoff.path_pressure path);
-    fresh_handle t tid path
-
-  let attach t =
-    match
-      Tracker_common.Census.try_attach t.census ~make:(fun tid ->
-        match t.handoff with
-        | Some h -> Handoff.Queued h
-        | None -> Handoff.Direct (make_reclaimer t ~tid))
-    with
-    | None -> None
-    | Some (tid, path) ->
-      Alloc.set_pressure_hook t.alloc ~tid (fun () ->
-        Handoff.path_pressure path);
-      Some (fresh_handle t tid path)
+  let register t ~tid = Tracker_base.register t.base ~tid (handle t)
+  let attach t = Tracker_base.attach t.base (handle t)
 
   let handle_tid h = h.tid
 
   let alloc h payload =
-    Epoch.tick h.t.epoch ~counter:h.alloc_counter ~freq:h.t.cfg.epoch_freq;
-    let b = Alloc.alloc h.t.alloc ~tid:h.tid payload in
+    Epoch.tick h.t.epoch ~counter:h.alloc_counter
+      ~freq:h.t.base.cfg.epoch_freq;
+    let b = Alloc.alloc h.t.base.alloc ~tid:h.tid payload in
     Block.set_birth_epoch b (Epoch.peek h.t.epoch);
     b
 
-  let dealloc h b = Alloc.free_unpublished h.t.alloc ~tid:h.tid b
+  let dealloc h b = Alloc.free_unpublished h.t.base.alloc ~tid:h.tid b
 
   let retire h b =
     Block.transition_retire b;
@@ -163,7 +122,7 @@ module Make (P : POLICY) : Tracker_intf.TRACKER = struct
      one announcement period and errs conservative. *)
   let announce_epoch h =
     if !(h.cached) < 0 || !(h.announce_left) <= 0 then begin
-      h.announce_left := h.t.cfg.announce_freq;
+      h.announce_left := h.t.base.cfg.announce_freq;
       h.cached := Epoch.read h.t.epoch
     end
     else Prim.local 1;
@@ -178,30 +137,17 @@ module Make (P : POLICY) : Tracker_intf.TRACKER = struct
     Prim.write h.t.reservations.(h.tid) max_int;
     Ibr_obs.Probe.unreserve ~slot:0
 
-  let make_ptr _ ?tag target = Plain_ptr.make ?tag target
-  let read _ ~slot:_ p = Plain_ptr.read p
-  let read_root h p = read h ~slot:0 p
-  let write _ p ?tag target = Plain_ptr.write p ?tag target
-  let cas _ p ~expected ?tag target = Plain_ptr.cas p ~expected ?tag target
-  let unreserve _ ~slot:_ = ()
-  let reassign _ ~src:_ ~dst:_ = ()
+  include Plain_ptr.Unguarded
 
-  let retired_count h = Handoff.path_count h.path
-
-  let force_empty h =
-    Handoff.path_drain h.path ~tid:h.tid;
-    Reclaimer.force (Handoff.path_reclaimer h.path)
-
-  let allocator t = t.alloc
+  let retired_count h = Tracker_base.retired_count h.path
+  let force_empty h = Tracker_base.force_empty h.t.base ~tid:h.tid h.path
+  let allocator t = Tracker_base.allocator t.base
   let epoch_value t = Epoch.peek t.epoch
-  let reclaim_service t = Option.map Handoff.service t.handoff
+  let reclaim_service t = Tracker_base.reclaim_service t.base
 
-  (* Neutralize a dead (or suspended) thread: clear its announcement,
-     flushing its producer-private handoff scratch first so batched
-     retires reach the drainer instead of stranding until detach. *)
-  let eject t ~tid =
-    (match t.handoff with Some h -> Handoff.flush_own h ~tid | None -> ());
-    Prim.write t.reservations.(tid) max_int
+  (* Neutralize a dead (or suspended) thread: clear its
+     announcement. *)
+  let eject t ~tid = Tracker_base.eject t.base ~tid
 
   (* Neutralization recovery, parameterized by policy: self-expire,
      then (DEBRA+) forget the cached epoch for a prompt fresh
@@ -215,11 +161,7 @@ module Make (P : POLICY) : Tracker_intf.TRACKER = struct
     end;
     if P.reprotect_on_recover then start_op h
 
-  let detach h =
-    force_empty h;
-    eject h.t ~tid:h.tid;
-    Alloc.flush_magazines h.t.alloc ~tid:h.tid;
-    Tracker_common.Census.detach h.t.census ~tid:h.tid
+  let detach h = Tracker_base.detach h.t.base ~tid:h.tid h.path
 end
 
 include Make (struct

@@ -6,169 +6,131 @@
    instrumentation at all — but not robust: one stalled thread pins
    every block retired after its start epoch. *)
 
-let name = "EBR"
+module Scheme = struct
+  let name = "EBR"
 
-let props = {
-  Tracker_intf.robust = false;
-  needs_unreserve = false;
-  mutable_pointers = true;
-  bounded_slots = false;
-  pointer_tag_words = 0;
-  fence_per_read = false;
-  summary =
-    "start epoch reserves everything not retired before it; \
-     unbounded reservation for a stalled thread";
-}
+  let props = {
+    Tracker_intf.robust = false;
+    needs_unreserve = false;
+    mutable_pointers = true;
+    bounded_slots = false;
+    pointer_tag_words = 0;
+    fence_per_read = false;
+    summary =
+      "start epoch reserves everything not retired before it; \
+       unbounded reservation for a stalled thread";
+  }
 
-type 'a t = {
-  epoch : Epoch.t;
-  reservations : int Atomic.t array;
-  alloc : 'a Alloc.t;
-  cfg : Tracker_intf.config;
-  census : 'a Handoff.path Tracker_common.Census.t;
-  mutable handoff : 'a Handoff.t option;
-}
+  type 'a t = {
+    epoch : Epoch.t;
+    reservations : int Atomic.t array;
+    base : 'a Tracker_base.t;
+  }
 
-type 'a handle = {
-  t : 'a t;
-  tid : int;
-  alloc_counter : int ref;
-  path : 'a Handoff.path;
-}
+  type 'a handle = {
+    t : 'a t;
+    tid : int;
+    alloc_counter : int ref;
+    path : 'a Handoff.path;
+  }
 
-type 'a ptr = 'a Plain_ptr.t
+  type 'a ptr = 'a Plain_ptr.t
 
-(* A single-threshold conflict: reclaim every block retired before the
-   oldest reservation (O(1) per block under any backend).  [tid] only
-   scopes the free-list; the conflict source reads global state, so
-   the same constructor serves per-handle reclaimers and the
-   background service's. *)
-let make_reclaimer t ~tid =
-  Reclaimer.create ~backend:t.cfg.Tracker_intf.retire_backend
-    ~empty_freq:t.cfg.Tracker_intf.empty_freq
-    ~current_epoch:(fun () -> Epoch.peek t.epoch)
-    ~source:(fun () ->
-      let reservations =
-        Tracker_common.snapshot_reservations t.reservations in
-      let max_safe = Array.fold_left min max_int reservations in
-      Reclaimer.Shape (Tracker_common.Conflict.Threshold max_safe))
-    ~free:(fun b -> Alloc.free t.alloc ~tid b)
-    ()
+  let create ~threads cfg =
+    let epoch = Epoch.create () in
+    let reservations = Array.init threads (fun _ -> Atomic.make max_int) in
+    let base =
+      Tracker_base.create ~threads cfg
+        ~current_epoch:(fun () -> Epoch.peek epoch)
+        ~source:(fun () () -> Tracker_base.oldest_reservation reservations)
+        ~clear:(fun tid -> Prim.write reservations.(tid) max_int)
+        ()
+    in
+    { epoch; reservations; base }
 
-let create ~threads (cfg : Tracker_intf.config) =
-  Tracker_intf.validate ~threads cfg;
-  (* The background service frees from its own thread id, one past the
-     mutators'. *)
-  let t = {
-    epoch = Epoch.create ();
-    reservations = Array.init threads (fun _ -> Atomic.make max_int);
-    alloc =
-      Alloc.create ~reuse:cfg.reuse ~magazine_size:cfg.magazine_size
-        ~threads:(threads + if cfg.background_reclaim then 1 else 0) ();
-    cfg;
-    census = Tracker_common.Census.create threads;
-    handoff = None;
-  } in
-  if cfg.background_reclaim then
-    t.handoff <-
-      Some
-        (Handoff.create ~producers:threads ~batch:cfg.handoff_batch
-           (make_reclaimer t ~tid:threads));
-  t
+  let handle t tid path = { t; tid; alloc_counter = ref 0; path }
+  let register t ~tid = Tracker_base.register t.base ~tid (handle t)
+  let attach t = Tracker_base.attach t.base (handle t)
 
-let register t ~tid =
-  let path =
-    match t.handoff with
-    | Some h -> Handoff.Queued h
-    | None -> Handoff.Direct (make_reclaimer t ~tid)
-  in
-  Alloc.set_pressure_hook t.alloc ~tid (fun () -> Handoff.path_pressure path);
-  { t; tid; alloc_counter = ref 0; path }
+  let handle_tid h = h.tid
 
-(* Dynamic registration: claim a free census slot ([None] when all
-   are taken).  The slot's reclaimer path is created once and adopted
-   by later occupants, so retirements a departing thread could not
-   yet free stay owned by the slot. *)
-let attach t =
-  match
-    Tracker_common.Census.try_attach t.census ~make:(fun tid ->
-      match t.handoff with
-      | Some h -> Handoff.Queued h
-      | None -> Handoff.Direct (make_reclaimer t ~tid))
-  with
-  | None -> None
-  | Some (tid, path) ->
-    Alloc.set_pressure_hook t.alloc ~tid (fun () ->
-      Handoff.path_pressure path);
-    Some { t; tid; alloc_counter = ref 0; path }
+  let alloc h payload =
+    (* Fig. 2 ties epoch advancement to retirement; we tie it to
+       allocation as §3 does for all schemes (one convention across the
+       board makes the robustness bound uniform). *)
+    Epoch.tick h.t.epoch ~counter:h.alloc_counter
+      ~freq:h.t.base.cfg.epoch_freq;
+    let b = Alloc.alloc h.t.base.alloc ~tid:h.tid payload in
+    Block.set_birth_epoch b (Epoch.peek h.t.epoch);
+    b
 
-let handle_tid h = h.tid
+  let dealloc h b = Alloc.free_unpublished h.t.base.alloc ~tid:h.tid b
 
-let alloc h payload =
-  (* Fig. 2 ties epoch advancement to retirement; we tie it to
-     allocation as §3 does for all schemes (one convention across the
-     board makes the robustness bound uniform). *)
-  Epoch.tick h.t.epoch ~counter:h.alloc_counter ~freq:h.t.cfg.epoch_freq;
-  let b = Alloc.alloc h.t.alloc ~tid:h.tid payload in
-  Block.set_birth_epoch b (Epoch.peek h.t.epoch);
-  b
+  let retire h b =
+    Block.transition_retire b;
+    Block.set_retire_epoch b (Epoch.read h.t.epoch);
+    Handoff.path_add h.path ~tid:h.tid b
 
-let dealloc h b = Alloc.free_unpublished h.t.alloc ~tid:h.tid b
+  let start_op h =
+    let e = Epoch.read h.t.epoch in
+    Prim.write h.t.reservations.(h.tid) e;
+    Ibr_obs.Probe.reserve ~slot:0
 
-let retire h b =
-  Block.transition_retire b;
-  Block.set_retire_epoch b (Epoch.read h.t.epoch);
-  Handoff.path_add h.path ~tid:h.tid b
+  let end_op h =
+    Prim.write h.t.reservations.(h.tid) max_int;
+    Ibr_obs.Probe.unreserve ~slot:0
 
-let start_op h =
-  let e = Epoch.read h.t.epoch in
-  Prim.write h.t.reservations.(h.tid) e;
-  Ibr_obs.Probe.reserve ~slot:0
+  include Plain_ptr.Unguarded
 
-let end_op h =
-  Prim.write h.t.reservations.(h.tid) max_int;
-  Ibr_obs.Probe.unreserve ~slot:0
+  let retired_count h = Tracker_base.retired_count h.path
+  let force_empty h = Tracker_base.force_empty h.t.base ~tid:h.tid h.path
+  let allocator t = Tracker_base.allocator t.base
+  let epoch_value t = Epoch.peek t.epoch
+  let reclaim_service t = Tracker_base.reclaim_service t.base
 
-let make_ptr _ ?tag target = Plain_ptr.make ?tag target
-let read _ ~slot:_ p = Plain_ptr.read p
-let read_root h p = read h ~slot:0 p
-let write _ p ?tag target = Plain_ptr.write p ?tag target
-let cas _ p ~expected ?tag target = Plain_ptr.cas p ~expected ?tag target
-let unreserve _ ~slot:_ = ()
-let reassign _ ~src:_ ~dst:_ = ()
+  (* Neutralize a dead (or suspended) thread: clearing its epoch
+     reservation unpins everything it held. *)
+  let eject t ~tid = Tracker_base.eject t.base ~tid
 
-let retired_count h = Handoff.path_count h.path
+  (* Neutralization recovery: self-expire (drop + scratch flush), then
+     re-protect exactly as a fresh [start_op] would. *)
+  let recover h =
+    eject h.t ~tid:h.tid;
+    start_op h
 
-let force_empty h =
-  Handoff.path_drain h.path ~tid:h.tid;
-  Reclaimer.force (Handoff.path_reclaimer h.path)
+  let detach h = Tracker_base.detach h.t.base ~tid:h.tid h.path
+end
 
-let allocator t = t.alloc
-let epoch_value t = Epoch.peek t.epoch
-let reclaim_service t = Option.map Handoff.service t.handoff
+include Scheme
 
-(* Neutralize a dead (or suspended) thread: clearing its epoch
-   reservation unpins everything it held.  Flush its producer-private
-   handoff scratch first — batched retires still buffered there are
-   invisible to the drainer and would otherwise stay stranded until
-   detach. *)
-let eject t ~tid =
-  (match t.handoff with Some h -> Handoff.flush_own h ~tid | None -> ());
-  Prim.write t.reservations.(tid) max_int
+(* An intentionally *unsound* mutation: [detach] skips the final
+   guarded sweep and frees every block the leaver still holds retired,
+   without testing them against other threads' reservations — the
+   classic broken lifecycle shortcut ("my thread is leaving, so its
+   garbage must be droppable") that per-thread registration papers
+   (DEBRA, Stamp-it) warn about.  A reader mid-interval that still
+   guards one of those blocks dereferences freed memory.  Exists only
+   so the [thread_churn] scenario has a bug to find; its shrunk
+   witness is pinned under test/traces/. *)
+module Noflush = struct
+  include Scheme
 
-(* Neutralization recovery: self-expire (drop + scratch flush), then
-   re-protect exactly as a fresh [start_op] would. *)
-let recover h =
-  eject h.t ~tid:h.tid;
-  start_op h
+  let name = "EBR-noflush"
 
-(* Dynamic deregistration (caller between operations): a last
-   drain-and-sweep while still registered, publish the quiescent
-   reservation, return the magazines to the depot, then release the
-   census slot — in that order, so a joiner reusing the slot can
-   never alias a reservation this thread still held. *)
-let detach h =
-  force_empty h;
-  eject h.t ~tid:h.tid;
-  Alloc.flush_magazines h.t.alloc ~tid:h.tid;
-  Tracker_common.Census.detach h.t.census ~tid:h.tid
+  let props = {
+    props with
+    Tracker_intf.summary =
+      "UNSOUND detach: frees pending retirements without a final \
+       guarded sweep; kept as a demonstration oracle for thread churn";
+  }
+
+  (* THE BUG: the leaver frees its pending retirements unconditionally
+     ([Reclaimer.drain_all]) where a sound detach runs its final
+     guarded sweep. *)
+  let detach h =
+    Handoff.path_drain h.path ~tid:h.tid;
+    Reclaimer.drain_all (Handoff.path_reclaimer h.path) (fun b ->
+      Alloc.free h.t.base.alloc ~tid:h.tid b);
+    eject h.t ~tid:h.tid;
+    Tracker_base.release h.t.base ~tid:h.tid
+end

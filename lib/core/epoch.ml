@@ -28,6 +28,13 @@ let advance_cas t ~expected =
   if ok then Ibr_obs.Probe.epoch_advance ~epoch:(expected + 1);
   ok
 
+(* Has every announcement in [slots] reached epoch [e]?  The scan of
+   Fraser's EBR and QSBR before they advance: one charged
+   cross-thread read per slot, stopping at the first laggard.  Parked
+   slots hold [max_int], which has reached every epoch. *)
+let all_reached slots e =
+  Array.for_all (fun slot -> Prim.charge_scan (); Atomic.get slot >= e) slots
+
 (* Per-thread allocation-driven advance: thread-local counter, bump
    the global epoch every [freq] calls.  Matches Fig. 2 lines 15–17 /
    Fig. 5 lines 31–33.  The counter is reset on advance so it cannot

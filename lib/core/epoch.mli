@@ -24,6 +24,10 @@ val advance_cas : t -> expected:int -> bool
     moved.  (QSBR's grace periods need the conditional form: racing
     unconditional increments would skip one.) *)
 
+val all_reached : int Atomic.t array -> int -> bool
+(** Has every announced epoch in the table reached [e]?  Charges one
+    cross-thread scan per slot read; parked ([max_int]) slots pass. *)
+
 val tick : t -> counter:int ref -> freq:int -> unit
 (** Allocation-driven advance: bump [counter]; advance the epoch and
     reset the counter every [freq] calls.  Raises [Invalid_argument]

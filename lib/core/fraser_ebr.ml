@@ -26,16 +26,14 @@ let props = {
      observed it; two-epoch lag, frozen by any stalled thread";
 }
 
-(* Reservation values: the observed epoch, or [inactive]. *)
+(* Reservation values: the observed epoch, or [inactive] — [max_int],
+   which reads as having observed every epoch. *)
 let inactive = max_int
 
 type 'a t = {
   epoch : Epoch.t;
   reservations : int Atomic.t array;
-  alloc : 'a Alloc.t;
-  cfg : Tracker_intf.config;
-  census : 'a Handoff.path Tracker_common.Census.t;
-  mutable handoff : 'a Handoff.t option;
+  base : 'a Tracker_base.t;
 }
 
 type 'a handle = {
@@ -48,85 +46,53 @@ type 'a ptr = 'a Plain_ptr.t
 
 (* Advance e -> e+1 iff every active thread has posted e (or later —
    possible when it raced past us). *)
-let try_advance t =
-  let e = Epoch.read t.epoch in
-  let all_observed =
-    Array.for_all
-      (fun slot ->
-         Prim.charge_scan ();
-         let r = Atomic.get slot in
-         r = inactive || r >= e)
-      t.reservations
-  in
-  if all_observed then ignore (Epoch.advance_cas t.epoch ~expected:e)
+let try_advance epoch reservations =
+  let e = Epoch.read epoch in
+  if Epoch.all_reached reservations e then
+    ignore (Epoch.advance_cas epoch ~expected:e)
 
 (* retire_epoch > e - 2, i.e. the two-epoch-lag threshold.  The
    advance attempt is the reclaimer's [prepare] hook so it still runs
    when the Gated backend skips the sweep itself — otherwise a closed
-   gate would freeze the epoch it is waiting on. *)
-let make_reclaimer t ~tid =
-  Reclaimer.create ~backend:t.cfg.Tracker_intf.retire_backend
-    ~empty_freq:t.cfg.Tracker_intf.empty_freq
-    ~prepare:(fun () -> try_advance t)
-    ~current_epoch:(fun () -> Epoch.peek t.epoch)
-    ~source:(fun () ->
-      let e = Epoch.read t.epoch in
-      Reclaimer.Shape (Tracker_common.Conflict.Threshold (e - 1)))
-    ~free:(fun b -> Alloc.free t.alloc ~tid b)
-    ()
-
-let create ~threads (cfg : Tracker_intf.config) =
-  Tracker_intf.validate ~threads cfg;
-  let t = {
-    epoch = Epoch.create ();
-    reservations = Array.init threads (fun _ -> Atomic.make inactive);
-    alloc =
-      Alloc.create ~reuse:cfg.reuse ~magazine_size:cfg.magazine_size
-        ~threads:(threads + if cfg.background_reclaim then 1 else 0) ();
-    cfg;
-    census = Tracker_common.Census.create threads;
-    handoff = None;
-  } in
-  if cfg.background_reclaim then
-    t.handoff <-
-      Some
-        (Handoff.create ~producers:threads ~batch:cfg.handoff_batch
-           (make_reclaimer t ~tid:threads));
-  t
-
-let register t ~tid =
-  let path =
-    match t.handoff with
-    | Some h -> Handoff.Queued h
-    | None -> Handoff.Direct (make_reclaimer t ~tid)
+   gate would freeze the epoch it is waiting on.  A forced sweep's
+   caller is between operations: [settle] helps the epoch forward two
+   steps so blocks retired before its last operation become
+   reclaimable.  A parked slot reads [inactive], so a free slot never
+   blocks the all-observed advance. *)
+let create ~threads cfg =
+  let epoch = Epoch.create () in
+  let reservations = Array.init threads (fun _ -> Atomic.make inactive) in
+  let base =
+    Tracker_base.create ~threads cfg
+      ~prepare:(fun () -> try_advance epoch reservations)
+      ~current_epoch:(fun () -> Epoch.peek epoch)
+      ~source:(fun () () ->
+        let e = Epoch.read epoch in
+        Reclaimer.Shape (Tracker_common.Conflict.Threshold (e - 1)))
+      ~clear:(fun tid -> Prim.write reservations.(tid) inactive)
+      ~settle:(fun _ ->
+        try_advance epoch reservations;
+        try_advance epoch reservations)
+      ()
   in
-  Alloc.set_pressure_hook t.alloc ~tid (fun () -> Handoff.path_pressure path);
-  { t; tid; path }
+  { epoch; reservations; base }
+
+let handle t tid path = { t; tid; path }
+let register t ~tid = Tracker_base.register t.base ~tid (handle t)
 
 (* Dynamic registration.  A free slot reads [inactive], which is also
    the correct state for a joiner between operations — it only posts
    an epoch at [start_op] — so attach needs no reservation write. *)
-let attach t =
-  match
-    Tracker_common.Census.try_attach t.census ~make:(fun tid ->
-      match t.handoff with
-      | Some h -> Handoff.Queued h
-      | None -> Handoff.Direct (make_reclaimer t ~tid))
-  with
-  | None -> None
-  | Some (tid, path) ->
-    Alloc.set_pressure_hook t.alloc ~tid (fun () ->
-      Handoff.path_pressure path);
-    Some { t; tid; path }
+let attach t = Tracker_base.attach t.base (handle t)
 
 let handle_tid h = h.tid
 
 let alloc h payload =
-  let b = Alloc.alloc h.t.alloc ~tid:h.tid payload in
+  let b = Alloc.alloc h.t.base.alloc ~tid:h.tid payload in
   Block.set_birth_epoch b (Epoch.peek h.t.epoch);
   b
 
-let dealloc h b = Alloc.free_unpublished h.t.alloc ~tid:h.tid b
+let dealloc h b = Alloc.free_unpublished h.t.base.alloc ~tid:h.tid b
 
 let retire h b =
   Block.transition_retire b;
@@ -142,34 +108,17 @@ let end_op h =
   Prim.write h.t.reservations.(h.tid) inactive;
   Ibr_obs.Probe.unreserve ~slot:0
 
-let make_ptr _ ?tag target = Plain_ptr.make ?tag target
-let read _ ~slot:_ p = Plain_ptr.read p
-let read_root h p = read h ~slot:0 p
-let write _ p ?tag target = Plain_ptr.write p ?tag target
-let cas _ p ~expected ?tag target = Plain_ptr.cas p ~expected ?tag target
-let unreserve _ ~slot:_ = ()
-let reassign _ ~src:_ ~dst:_ = ()
+include Plain_ptr.Unguarded
 
-let retired_count h = Handoff.path_count h.path
-
-(* Caller is between operations: help the epoch forward two steps so
-   blocks retired before its last operation become reclaimable. *)
-let force_empty h =
-  Handoff.path_drain h.path ~tid:h.tid;
-  try_advance h.t;
-  try_advance h.t;
-  Reclaimer.force (Handoff.path_reclaimer h.path)
-
-let allocator t = t.alloc
+let retired_count h = Tracker_base.retired_count h.path
+let force_empty h = Tracker_base.force_empty h.t.base ~tid:h.tid h.path
+let allocator t = Tracker_base.allocator t.base
 let epoch_value t = Epoch.peek t.epoch
-let reclaim_service t = Option.map Handoff.service t.handoff
+let reclaim_service t = Tracker_base.reclaim_service t.base
 
 (* Neutralize a dead thread: marking it inactive both unpins its
-   reservation and lets the all-observed advance proceed again.  The
-   scratch flush unstrands batched handoff retires. *)
-let eject t ~tid =
-  (match t.handoff with Some h -> Handoff.flush_own h ~tid | None -> ());
-  Prim.write t.reservations.(tid) inactive
+   reservation and lets the all-observed advance proceed again. *)
+let eject t ~tid = Tracker_base.eject t.base ~tid
 
 (* Neutralization recovery: self-expire, then re-announce as a fresh
    [start_op]. *)
@@ -177,10 +126,4 @@ let recover h =
   eject h.t ~tid:h.tid;
   start_op h
 
-(* Dynamic deregistration: a parked slot reads [inactive], so a free
-   slot never blocks the all-observed epoch advance. *)
-let detach h =
-  force_empty h;
-  eject h.t ~tid:h.tid;
-  Alloc.flush_magazines h.t.alloc ~tid:h.tid;
-  Tracker_common.Census.detach h.t.census ~tid:h.tid
+let detach h = Tracker_base.detach h.t.base ~tid:h.tid h.path

@@ -27,10 +27,7 @@ let no_era = 0
 type 'a t = {
   epoch : Epoch.t;
   eras : int Atomic.t array array;   (* eras.(tid).(slot) *)
-  alloc : 'a Alloc.t;
-  cfg : Tracker_intf.config;
-  census : 'a Handoff.path Tracker_common.Census.t;
-  mutable handoff : 'a Handoff.t option;
+  base : 'a Tracker_base.t;
 }
 
 type 'a handle = {
@@ -47,98 +44,55 @@ type 'a ptr = 'a Plain_ptr.t
    era table is read once into a flat array, then digested into a
    sorted snapshot so each block's test is a binary search rather than
    a walk of every reserved era. *)
-let scan_eras t =
-  let threads = Array.length t.eras in
-  let slots = t.cfg.Tracker_intf.slots in
-  let eras = Array.make (threads * slots) no_era in
+let scan_eras eras ~slots =
+  let threads = Array.length eras in
+  let flat = Array.make (threads * slots) no_era in
   Array.iteri (fun i row ->
     Array.iteri (fun j slot ->
       Prim.charge_scan ();
-      eras.((i * slots) + j) <- Atomic.get slot)
+      flat.((i * slots) + j) <- Atomic.get slot)
       row)
-    t.eras;
+    eras;
   Tracker_common.Sweep_stats.note_snapshot ~entries:(threads * slots)
     ~cycles:
       (threads * slots * !Prim.costs.Ibr_runtime.Cost.scan_reservation);
-  eras
-
-let source_of_eras eras =
-  if !Tracker_common.legacy_sweep then begin
-    (* Oracle path: linear scan of the reserved eras per block. *)
-    let reserved =
-      Array.to_list eras |> List.filter (fun e -> e <> no_era) in
-    Reclaimer.Predicate
-      (fun b ->
-         List.exists
-           (fun e -> Block.birth_epoch b <= e && e <= Block.retire_epoch b)
-           reserved)
-  end else
-    Reclaimer.Shape
-      (Tracker_common.Conflict.Intervals
-         (Tracker_common.Sweep_snapshot.of_points ~none:no_era eras))
-
-let make_reclaimer t ~tid =
-  Reclaimer.create ~backend:t.cfg.Tracker_intf.retire_backend
-    ~empty_freq:t.cfg.Tracker_intf.empty_freq
-    ~current_epoch:(fun () -> Epoch.peek t.epoch)
-    ~source:(fun () -> source_of_eras (scan_eras t))
-    ~free:(fun b -> Alloc.free t.alloc ~tid b)
-    ()
+  Reclaimer.Shape
+    (Tracker_common.Conflict.Intervals
+       (Tracker_common.Sweep_snapshot.of_points ~none:no_era flat))
 
 let create ~threads (cfg : Tracker_intf.config) =
-  Tracker_intf.validate ~threads cfg;
-  let t = {
-    epoch = Epoch.create ();
-    eras =
-      Array.init threads (fun _ ->
-        Array.init cfg.slots (fun _ -> Atomic.make no_era));
-    alloc =
-      Alloc.create ~reuse:cfg.reuse ~magazine_size:cfg.magazine_size
-        ~threads:(threads + if cfg.background_reclaim then 1 else 0) ();
-    cfg;
-    census = Tracker_common.Census.create threads;
-    handoff = None;
-  } in
-  if cfg.background_reclaim then
-    t.handoff <-
-      Some
-        (Handoff.create ~producers:threads ~batch:cfg.handoff_batch
-           (make_reclaimer t ~tid:threads));
-  t
-
-let register t ~tid =
-  let path =
-    match t.handoff with
-    | Some h -> Handoff.Queued h
-    | None -> Handoff.Direct (make_reclaimer t ~tid)
+  let epoch = Epoch.create () in
+  let eras =
+    Array.init threads (fun _ ->
+      Array.init cfg.slots (fun _ -> Atomic.make no_era))
   in
-  Alloc.set_pressure_hook t.alloc ~tid (fun () -> Handoff.path_pressure path);
-  { t; tid; alloc_counter = ref 0; hwm = -1; path }
+  let base =
+    Tracker_base.create ~threads cfg
+      ~current_epoch:(fun () -> Epoch.peek epoch)
+      ~source:(fun () () -> scan_eras eras ~slots:cfg.slots)
+      ~clear:(fun tid ->
+        Array.iter (fun slot -> Prim.write slot no_era) eras.(tid))
+      ()
+  in
+  { epoch; eras; base }
+
+let handle t tid path = { t; tid; alloc_counter = ref 0; hwm = -1; path }
+let register t ~tid = Tracker_base.register t.base ~tid (handle t)
 
 (* Dynamic registration.  A released era row was cleared to [no_era]
    by the leaver's detach — a fresh row's state. *)
-let attach t =
-  match
-    Tracker_common.Census.try_attach t.census ~make:(fun tid ->
-      match t.handoff with
-      | Some h -> Handoff.Queued h
-      | None -> Handoff.Direct (make_reclaimer t ~tid))
-  with
-  | None -> None
-  | Some (tid, path) ->
-    Alloc.set_pressure_hook t.alloc ~tid (fun () ->
-      Handoff.path_pressure path);
-    Some { t; tid; alloc_counter = ref 0; hwm = -1; path }
+let attach t = Tracker_base.attach t.base (handle t)
 
 let handle_tid h = h.tid
 
 let alloc h payload =
-  Epoch.tick h.t.epoch ~counter:h.alloc_counter ~freq:h.t.cfg.epoch_freq;
-  let b = Alloc.alloc h.t.alloc ~tid:h.tid payload in
+  Epoch.tick h.t.epoch ~counter:h.alloc_counter
+    ~freq:h.t.base.cfg.epoch_freq;
+  let b = Alloc.alloc h.t.base.alloc ~tid:h.tid payload in
   Block.set_birth_epoch b (Epoch.read h.t.epoch);
   b
 
-let dealloc h b = Alloc.free_unpublished h.t.alloc ~tid:h.tid b
+let dealloc h b = Alloc.free_unpublished h.t.base.alloc ~tid:h.tid b
 
 let retire h b =
   Block.transition_retire b;
@@ -193,21 +147,14 @@ let reassign h ~src ~dst =
   Prim.write row.(dst) (Prim.read row.(src));
   Ibr_obs.Probe.reserve ~slot:dst
 
-let retired_count h = Handoff.path_count h.path
-
-let force_empty h =
-  Handoff.path_drain h.path ~tid:h.tid;
-  Reclaimer.force (Handoff.path_reclaimer h.path)
-
-let allocator t = t.alloc
+let retired_count h = Tracker_base.retired_count h.path
+let force_empty h = Tracker_base.force_empty h.t.base ~tid:h.tid h.path
+let allocator t = Tracker_base.allocator t.base
 let epoch_value t = Epoch.peek t.epoch
-let reclaim_service t = Option.map Handoff.service t.handoff
+let reclaim_service t = Tracker_base.reclaim_service t.base
 
-(* Neutralize a dead thread: clear every era slot in its row.  The
-   scratch flush unstrands batched handoff retires. *)
-let eject t ~tid =
-  (match t.handoff with Some h -> Handoff.flush_own h ~tid | None -> ());
-  Array.iter (fun slot -> Prim.write slot no_era) t.eras.(tid)
+(* Neutralize a dead thread: clear every era slot in its row. *)
+let eject t ~tid = Tracker_base.eject t.base ~tid
 
 (* Neutralization recovery: era slots are per-read; drop the row and
    re-protect as a fresh [start_op]. *)
@@ -215,10 +162,4 @@ let recover h =
   eject h.t ~tid:h.tid;
   start_op h
 
-(* Dynamic deregistration: final sweep, clear the era row, flush the
-   magazines, release the slot. *)
-let detach h =
-  force_empty h;
-  eject h.t ~tid:h.tid;
-  Alloc.flush_magazines h.t.alloc ~tid:h.tid;
-  Tracker_common.Census.detach h.t.census ~tid:h.tid
+let detach h = Tracker_base.detach h.t.base ~tid:h.tid h.path

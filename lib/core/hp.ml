@@ -26,11 +26,7 @@ type 'a slot_table = 'a Block.t option Atomic.t array array
 
 type 'a t = {
   slots : 'a slot_table;
-  alloc : 'a Alloc.t;
-  cfg : Tracker_intf.config;
-  threads : int;
-  census : 'a Handoff.path Tracker_common.Census.t;
-  mutable handoff : 'a Handoff.t option;
+  base : 'a Tracker_base.t;
 }
 
 type 'a handle = {
@@ -46,13 +42,13 @@ type 'a ptr = 'a Plain_ptr.t
    sweep the local retired store against membership.  An opaque
    predicate — blocks carry no retire epochs here, so the bucketed
    backends degenerate to per-block tests (and, with the epoch peek
-   pinned at 0, Gated never gates). *)
-let make_reclaimer t ~tid =
-  (* Reused across sweeps so a scan does not allocate (and regrow) a
-     fresh table; cleared, not reset, to keep its buckets.  One per
-     reclaimer: the background service sweeps with its own scratch. *)
+   pinned at 0, Gated never gates).  The id set is reused across
+   sweeps so a scan does not allocate (and regrow) a fresh table;
+   cleared, not reset, to keep its buckets.  One per reclaimer: the
+   background service sweeps with its own scratch. *)
+let hazard_source slots () =
   let hazard_scratch : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let source () =
+  fun () ->
     Hashtbl.clear hazard_scratch;
     let entries = ref 0 in
     Array.iter (fun row ->
@@ -63,68 +59,38 @@ let make_reclaimer t ~tid =
         | None -> ()
         | Some b -> Hashtbl.replace hazard_scratch (Block.id b) ())
         row)
-      t.slots;
+      slots;
     Tracker_common.Sweep_stats.note_snapshot ~entries:!entries
       ~cycles:(!entries * !Prim.costs.Ibr_runtime.Cost.scan_reservation);
     Reclaimer.Predicate (fun b -> Hashtbl.mem hazard_scratch (Block.id b))
-  in
-  Reclaimer.create ~backend:t.cfg.Tracker_intf.retire_backend
-    ~empty_freq:t.cfg.Tracker_intf.empty_freq
-    ~current_epoch:(fun () -> 0)
-    ~source
-    ~free:(fun b -> Alloc.free t.alloc ~tid b)
-    ()
 
 let create ~threads (cfg : Tracker_intf.config) =
-  Tracker_intf.validate ~threads cfg;
-  let t = {
-    slots =
-      Array.init threads (fun _ ->
-        Array.init cfg.slots (fun _ -> Atomic.make None));
-    alloc =
-      Alloc.create ~reuse:cfg.reuse ~magazine_size:cfg.magazine_size
-        ~threads:(threads + if cfg.background_reclaim then 1 else 0) ();
-    cfg;
-    threads;
-    census = Tracker_common.Census.create threads;
-    handoff = None;
-  } in
-  if cfg.background_reclaim then
-    t.handoff <-
-      Some
-        (Handoff.create ~producers:threads ~batch:cfg.handoff_batch
-           (make_reclaimer t ~tid:threads));
-  t
-
-let register t ~tid =
-  let path =
-    match t.handoff with
-    | Some h -> Handoff.Queued h
-    | None -> Handoff.Direct (make_reclaimer t ~tid)
+  let slots =
+    Array.init threads (fun _ ->
+      Array.init cfg.slots (fun _ -> Atomic.make None))
   in
-  Alloc.set_pressure_hook t.alloc ~tid (fun () -> Handoff.path_pressure path);
-  { t; tid; hwm = -1; path }
+  let base =
+    Tracker_base.create ~threads cfg
+      ~current_epoch:(fun () -> 0)
+      ~source:(hazard_source slots)
+      ~clear:(fun tid ->
+        Array.iter (fun slot -> Prim.write slot None) slots.(tid))
+      ()
+  in
+  { slots; base }
+
+let handle t tid path = { t; tid; hwm = -1; path }
+let register t ~tid = Tracker_base.register t.base ~tid (handle t)
 
 (* Dynamic registration.  A released row was cleared by the leaver's
    detach, which is exactly a fresh row's state: no hazard published
    until the first protected read. *)
-let attach t =
-  match
-    Tracker_common.Census.try_attach t.census ~make:(fun tid ->
-      match t.handoff with
-      | Some h -> Handoff.Queued h
-      | None -> Handoff.Direct (make_reclaimer t ~tid))
-  with
-  | None -> None
-  | Some (tid, path) ->
-    Alloc.set_pressure_hook t.alloc ~tid (fun () ->
-      Handoff.path_pressure path);
-    Some { t; tid; hwm = -1; path }
+let attach t = Tracker_base.attach t.base (handle t)
 
 let handle_tid h = h.tid
 
-let alloc h payload = Alloc.alloc h.t.alloc ~tid:h.tid payload
-let dealloc h b = Alloc.free_unpublished h.t.alloc ~tid:h.tid b
+let alloc h payload = Alloc.alloc h.t.base.alloc ~tid:h.tid payload
+let dealloc h b = Alloc.free_unpublished h.t.base.alloc ~tid:h.tid b
 
 let retire h b =
   Block.transition_retire b;
@@ -178,21 +144,14 @@ let reassign h ~src ~dst =
   Prim.write row.(dst) (Prim.read row.(src));
   Ibr_obs.Probe.reserve ~slot:dst
 
-let retired_count h = Handoff.path_count h.path
-
-let force_empty h =
-  Handoff.path_drain h.path ~tid:h.tid;
-  Reclaimer.force (Handoff.path_reclaimer h.path)
-
-let allocator t = t.alloc
+let retired_count h = Tracker_base.retired_count h.path
+let force_empty h = Tracker_base.force_empty h.t.base ~tid:h.tid h.path
+let allocator t = Tracker_base.allocator t.base
 let epoch_value _ = 0
-let reclaim_service t = Option.map Handoff.service t.handoff
+let reclaim_service t = Tracker_base.reclaim_service t.base
 
-(* Neutralize a dead thread: clear every hazard slot in its row.  The
-   scratch flush unstrands batched handoff retires. *)
-let eject t ~tid =
-  (match t.handoff with Some h -> Handoff.flush_own h ~tid | None -> ());
-  Array.iter (fun slot -> Prim.write slot None) t.slots.(tid)
+(* Neutralize a dead thread: clear every hazard slot in its row. *)
+let eject t ~tid = Tracker_base.eject t.base ~tid
 
 (* Neutralization recovery: hazard pointers are per-read, so dropping
    the row plus a fresh [start_op] suffices — the retried traversal
@@ -201,10 +160,4 @@ let recover h =
   eject h.t ~tid:h.tid;
   start_op h
 
-(* Dynamic deregistration: final sweep, clear the hazard row, flush
-   the magazines, release the slot. *)
-let detach h =
-  force_empty h;
-  eject h.t ~tid:h.tid;
-  Alloc.flush_magazines h.t.alloc ~tid:h.tid;
-  Tracker_common.Census.detach h.t.census ~tid:h.tid
+let detach h = Tracker_base.detach h.t.base ~tid:h.tid h.path

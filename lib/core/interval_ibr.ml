@@ -33,10 +33,7 @@ module Make (P : POINTER_OPS) : Tracker_intf.TRACKER = struct
   type 'a t = {
     epoch : Epoch.t;
     res : Tracker_common.Interval_res.t;
-    alloc : 'a Alloc.t;
-    cfg : Tracker_intf.config;
-    census : 'a Handoff.path Tracker_common.Census.t;
-    mutable handoff : 'a Handoff.t option;
+    base : 'a Tracker_base.t;
   }
 
   type 'a handle = {
@@ -50,80 +47,37 @@ module Make (P : POINTER_OPS) : Tracker_intf.TRACKER = struct
 
   (* Fig. 5 lines 22–29: interval-intersection sweep.  The table is
      digested once into a sorted snapshot; each block then pays
-     O(log T) instead of a rescan of every thread's endpoints.  The
-     legacy path keeps the per-block rescan as a differential oracle. *)
-  let make_reclaimer t ~tid =
-    let source () =
-      if !Tracker_common.legacy_sweep then
-        Reclaimer.Predicate
-          (Tracker_common.Interval_res.conflict_with_snapshot t.res)
-      else
-        Reclaimer.Shape
-          (Tracker_common.Conflict.Intervals
-             (Tracker_common.Interval_res.sweep_snapshot t.res))
+     O(log T) instead of a rescan of every thread's endpoints. *)
+  let create ~threads cfg =
+    let epoch = Epoch.create () in
+    let res = Tracker_common.Interval_res.create threads in
+    let base =
+      Tracker_base.create ~threads cfg
+        ~current_epoch:(fun () -> Epoch.peek epoch)
+        ~source:(fun () () ->
+          Reclaimer.Shape
+            (Tracker_common.Conflict.Intervals
+               (Tracker_common.Interval_res.sweep_snapshot res)))
+        ~clear:(fun tid -> Tracker_common.Interval_res.clear res ~tid)
+        ()
     in
-    Reclaimer.create ~backend:t.cfg.Tracker_intf.retire_backend
-      ~empty_freq:t.cfg.Tracker_intf.empty_freq
-      ~current_epoch:(fun () -> Epoch.peek t.epoch)
-      ~source
-      ~free:(fun b -> Alloc.free t.alloc ~tid b)
-      ()
+    { epoch; res; base }
 
-  let create ~threads (cfg : Tracker_intf.config) =
-    Tracker_intf.validate ~threads cfg;
-    let t = {
-      epoch = Epoch.create ();
-      res = Tracker_common.Interval_res.create threads;
-      alloc =
-        Alloc.create ~reuse:cfg.reuse ~magazine_size:cfg.magazine_size
-          ~threads:(threads + if cfg.background_reclaim then 1 else 0) ();
-      cfg;
-      census = Tracker_common.Census.create threads;
-      handoff = None;
-    } in
-    if cfg.background_reclaim then
-      t.handoff <-
-        Some
-          (Handoff.create ~producers:threads ~batch:cfg.handoff_batch
-             (make_reclaimer t ~tid:threads));
-    t
-
-  let register t ~tid =
-    let path =
-      match t.handoff with
-      | Some h -> Handoff.Queued h
-      | None -> Handoff.Direct (make_reclaimer t ~tid)
-    in
-    Alloc.set_pressure_hook t.alloc ~tid (fun () ->
-      Handoff.path_pressure path);
-    { t; tid; alloc_counter = ref 0; path }
-
-  (* Dynamic registration: claim a free census slot ([None] when all
-     are taken); later occupants adopt the slot's reclaimer path and
-     with it any retirements a departing thread could not yet free. *)
-  let attach t =
-    match
-      Tracker_common.Census.try_attach t.census ~make:(fun tid ->
-        match t.handoff with
-        | Some h -> Handoff.Queued h
-        | None -> Handoff.Direct (make_reclaimer t ~tid))
-    with
-    | None -> None
-    | Some (tid, path) ->
-      Alloc.set_pressure_hook t.alloc ~tid (fun () ->
-        Handoff.path_pressure path);
-      Some { t; tid; alloc_counter = ref 0; path }
+  let handle t tid path = { t; tid; alloc_counter = ref 0; path }
+  let register t ~tid = Tracker_base.register t.base ~tid (handle t)
+  let attach t = Tracker_base.attach t.base (handle t)
 
   let handle_tid h = h.tid
 
   (* Fig. 5 lines 30–36: epoch tick on allocation, tag birth epoch. *)
   let alloc h payload =
-    Epoch.tick h.t.epoch ~counter:h.alloc_counter ~freq:h.t.cfg.epoch_freq;
-    let b = Alloc.alloc h.t.alloc ~tid:h.tid payload in
+    Epoch.tick h.t.epoch ~counter:h.alloc_counter
+      ~freq:h.t.base.cfg.epoch_freq;
+    let b = Alloc.alloc h.t.base.alloc ~tid:h.tid payload in
     Block.set_birth_epoch b (Epoch.read h.t.epoch);
     b
 
-  let dealloc h b = Alloc.free_unpublished h.t.alloc ~tid:h.tid b
+  let dealloc h b = Alloc.free_unpublished h.t.base.alloc ~tid:h.tid b
 
   let retire h b =
     Block.transition_retire b;
@@ -152,22 +106,15 @@ module Make (P : POINTER_OPS) : Tracker_intf.TRACKER = struct
   let unreserve _ ~slot:_ = ()
   let reassign _ ~src:_ ~dst:_ = ()
 
-  let retired_count h = Handoff.path_count h.path
-
-  let force_empty h =
-    Handoff.path_drain h.path ~tid:h.tid;
-    Reclaimer.force (Handoff.path_reclaimer h.path)
-
-  let allocator t = t.alloc
+  let retired_count h = Tracker_base.retired_count h.path
+  let force_empty h = Tracker_base.force_empty h.t.base ~tid:h.tid h.path
+  let allocator t = Tracker_base.allocator t.base
   let epoch_value t = Epoch.peek t.epoch
-  let reclaim_service t = Option.map Handoff.service t.handoff
+  let reclaim_service t = Tracker_base.reclaim_service t.base
 
   (* Neutralize a dead thread: clearing its [lower, upper] interval
-     unpins every block whose lifetime it intersected.  The scratch
-     flush unstrands batched handoff retires. *)
-  let eject t ~tid =
-    (match t.handoff with Some h -> Handoff.flush_own h ~tid | None -> ());
-    Tracker_common.Interval_res.clear t.res ~tid
+     unpins every block whose lifetime it intersected. *)
+  let eject t ~tid = Tracker_base.eject t.base ~tid
 
   (* Neutralization recovery: drop the interval, then open a fresh one
      at the current epoch as [start_op] does; the retried traversal
@@ -176,12 +123,5 @@ module Make (P : POINTER_OPS) : Tracker_intf.TRACKER = struct
     eject h.t ~tid:h.tid;
     start_op h
 
-  (* Dynamic deregistration: final drain-and-sweep, clear the
-     interval, flush the magazines, then release the slot (see
-     DESIGN.md §10 for why this order is what makes reuse safe). *)
-  let detach h =
-    force_empty h;
-    eject h.t ~tid:h.tid;
-    Alloc.flush_magazines h.t.alloc ~tid:h.tid;
-    Tracker_common.Census.detach h.t.census ~tid:h.tid
+  let detach h = Tracker_base.detach h.t.base ~tid:h.tid h.path
 end

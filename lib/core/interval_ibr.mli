@@ -20,7 +20,7 @@ module type POINTER_OPS = sig
   (** Must return a view only once the calling thread's upper endpoint
       provably covers the target's birth epoch {e and} that
       reservation was visible when the returned view was (re-)read.
-      [Two_ge_unfenced] deliberately violates this contract (the
+      [Two_ge_ibr.Unfenced] deliberately violates this contract (the
       literal Fig. 6 ordering); the model checker exhibits the
       resulting use-after-free as a minimal schedule witness
       (DESIGN.md §6). *)

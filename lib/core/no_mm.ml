@@ -71,13 +71,7 @@ let retire h b =
 let start_op _ = ()
 let end_op _ = ()
 
-let make_ptr _ ?tag target = Plain_ptr.make ?tag target
-let read _ ~slot:_ p = Plain_ptr.read p
-let read_root h p = read h ~slot:0 p
-let write _ p ?tag target = Plain_ptr.write p ?tag target
-let cas _ p ~expected ?tag target = Plain_ptr.cas p ~expected ?tag target
-let unreserve _ ~slot:_ = ()
-let reassign _ ~src:_ ~dst:_ = ()
+include Plain_ptr.Unguarded
 
 let retired_count h = Reclaimer.count h.rc
 let force_empty _ = ()

@@ -15,3 +15,17 @@ let cas (p : 'a t) ~expected ?tag target =
 
 (* Uncharged read for constructors and assertions. *)
 let peek (p : 'a t) = Atomic.get p
+
+(* The pointer half of a scheme whose reservations cover a whole
+   operation (EBR, Fraser-EBR, QSBR, DEBRA, NoMM, UnsafeFree): every
+   read is the plain cell read, and there are no per-pointer slots to
+   release or hand over. *)
+module Unguarded = struct
+  let make_ptr _ ?tag target = make ?tag target
+  let read _ ~slot:_ (p : 'a t) = Prim.read p
+  let read_root _ (p : 'a t) = Prim.read p
+  let write _ p ?tag target = write p ?tag target
+  let cas _ p ~expected ?tag target = cas p ~expected ?tag target
+  let unreserve _ ~slot:_ = ()
+  let reassign _ ~src:_ ~dst:_ = ()
+end

@@ -25,10 +25,7 @@ let props = {
 type 'a t = {
   epoch : Epoch.t;
   reservations : int Atomic.t array;
-  alloc : 'a Alloc.t;
-  cfg : Tracker_intf.config;
-  census : 'a Handoff.path Tracker_common.Census.t;
-  mutable handoff : 'a Handoff.t option;
+  base : 'a Tracker_base.t;
 }
 
 type 'a handle = {
@@ -43,81 +40,41 @@ type 'a ptr = 'a Plain_ptr.t
 (* Fig. 4 lines 1–8: a block is protected iff some reserved epoch lies
    within its lifetime.  The snapshot is sorted once so each block's
    test is a binary search, not a scan of every thread's slot. *)
-let source t =
-  let reservations = Tracker_common.snapshot_reservations t.reservations in
-  if !Tracker_common.legacy_sweep then
-    Reclaimer.Predicate
-      (fun b ->
-         let birth = Block.birth_epoch b and retire = Block.retire_epoch b in
-         Array.exists (fun res -> birth <= res && res <= retire) reservations)
-  else
-    Reclaimer.Shape
-      (Tracker_common.Conflict.Intervals
-         (Tracker_common.Sweep_snapshot.of_points ~none:max_int
-            reservations))
-
-let make_reclaimer t ~tid =
-  Reclaimer.create ~backend:t.cfg.Tracker_intf.retire_backend
-    ~empty_freq:t.cfg.Tracker_intf.empty_freq
-    ~current_epoch:(fun () -> Epoch.peek t.epoch)
-    ~source:(fun () -> source t)
-    ~free:(fun b -> Alloc.free t.alloc ~tid b)
-    ()
-
-let create ~threads (cfg : Tracker_intf.config) =
-  Tracker_intf.validate ~threads cfg;
-  let t = {
-    epoch = Epoch.create ();
-    reservations = Array.init threads (fun _ -> Atomic.make max_int);
-    alloc =
-      Alloc.create ~reuse:cfg.reuse ~magazine_size:cfg.magazine_size
-        ~threads:(threads + if cfg.background_reclaim then 1 else 0) ();
-    cfg;
-    census = Tracker_common.Census.create threads;
-    handoff = None;
-  } in
-  if cfg.background_reclaim then
-    t.handoff <-
-      Some
-        (Handoff.create ~producers:threads ~batch:cfg.handoff_batch
-           (make_reclaimer t ~tid:threads));
-  t
-
-let register t ~tid =
-  let path =
-    match t.handoff with
-    | Some h -> Handoff.Queued h
-    | None -> Handoff.Direct (make_reclaimer t ~tid)
+let create ~threads cfg =
+  let epoch = Epoch.create () in
+  let reservations = Array.init threads (fun _ -> Atomic.make max_int) in
+  let base =
+    Tracker_base.create ~threads cfg
+      ~current_epoch:(fun () -> Epoch.peek epoch)
+      ~source:(fun () () ->
+        Reclaimer.Shape
+          (Tracker_common.Conflict.Intervals
+             (Tracker_common.Sweep_snapshot.of_points ~none:max_int
+                (Tracker_common.snapshot_reservations reservations))))
+      ~clear:(fun tid -> Prim.write reservations.(tid) max_int)
+      ()
   in
-  Alloc.set_pressure_hook t.alloc ~tid (fun () -> Handoff.path_pressure path);
-  { t; tid; alloc_counter = ref 0; path }
+  { epoch; reservations; base }
+
+let handle t tid path = { t; tid; alloc_counter = ref 0; path }
+let register t ~tid = Tracker_base.register t.base ~tid (handle t)
 
 (* Dynamic registration.  A released slot reads [max_int]
    (unreserved), which is a joiner's correct state until its first
    guarded root read. *)
-let attach t =
-  match
-    Tracker_common.Census.try_attach t.census ~make:(fun tid ->
-      match t.handoff with
-      | Some h -> Handoff.Queued h
-      | None -> Handoff.Direct (make_reclaimer t ~tid))
-  with
-  | None -> None
-  | Some (tid, path) ->
-    Alloc.set_pressure_hook t.alloc ~tid (fun () ->
-      Handoff.path_pressure path);
-    Some { t; tid; alloc_counter = ref 0; path }
+let attach t = Tracker_base.attach t.base (handle t)
 
 let handle_tid h = h.tid
 
 (* Fig. 4 lines 9–15: epoch tick on allocation, tag the birth epoch. *)
 let alloc h payload =
-  Epoch.tick h.t.epoch ~counter:h.alloc_counter ~freq:h.t.cfg.epoch_freq;
-  let b = Alloc.alloc h.t.alloc ~tid:h.tid payload in
+  Epoch.tick h.t.epoch ~counter:h.alloc_counter
+    ~freq:h.t.base.cfg.epoch_freq;
+  let b = Alloc.alloc h.t.base.alloc ~tid:h.tid payload in
   Block.set_birth_epoch b (Epoch.read h.t.epoch);
   b
 
-let dealloc h b = Alloc.free_unpublished h.t.alloc ~tid:h.tid b
+let dealloc h b = Alloc.free_unpublished h.t.base.alloc ~tid:h.tid b
 
 let retire h b =
   Block.transition_retire b;
@@ -159,22 +116,15 @@ let cas _ p ~expected ?tag target = Plain_ptr.cas p ~expected ?tag target
 let unreserve _ ~slot:_ = ()
 let reassign _ ~src:_ ~dst:_ = ()
 
-let retired_count h = Handoff.path_count h.path
-
-let force_empty h =
-  Handoff.path_drain h.path ~tid:h.tid;
-  Reclaimer.force (Handoff.path_reclaimer h.path)
-
-let allocator t = t.alloc
+let retired_count h = Tracker_base.retired_count h.path
+let force_empty h = Tracker_base.force_empty h.t.base ~tid:h.tid h.path
+let allocator t = Tracker_base.allocator t.base
 let epoch_value t = Epoch.peek t.epoch
-let reclaim_service t = Option.map Handoff.service t.handoff
+let reclaim_service t = Tracker_base.reclaim_service t.base
 
 (* Neutralize a dead thread: clearing its epoch reservation unpins
-   everything reachable from the root it had snapshotted.  The scratch
-   flush unstrands batched handoff retires (see [Tracker_intf]). *)
-let eject t ~tid =
-  (match t.handoff with Some h -> Handoff.flush_own h ~tid | None -> ());
-  Prim.write t.reservations.(tid) max_int
+   everything reachable from the root it had snapshotted. *)
+let eject t ~tid = Tracker_base.eject t.base ~tid
 
 (* Neutralization recovery: self-expire, then re-protect as a fresh
    [start_op]; the retried traversal re-guards from the root. *)
@@ -182,10 +132,4 @@ let recover h =
   eject h.t ~tid:h.tid;
   start_op h
 
-(* Dynamic deregistration: final sweep, clear the reservation, flush
-   the magazines, release the slot. *)
-let detach h =
-  force_empty h;
-  eject h.t ~tid:h.tid;
-  Alloc.flush_magazines h.t.alloc ~tid:h.tid;
-  Tracker_common.Census.detach h.t.census ~tid:h.tid
+let detach h = Tracker_base.detach h.t.base ~tid:h.tid h.path

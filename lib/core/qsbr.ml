@@ -47,11 +47,7 @@ module Make (A : ADVANCE) = struct
     epoch : Epoch.t;
     (* Last epoch each thread has passed a quiescent state in. *)
     quiescent : int Atomic.t array;
-    alloc : 'a Alloc.t;
-    cfg : Tracker_intf.config;
-    threads : int;
-    census : 'a Handoff.path Tracker_common.Census.t;
-    mutable handoff : 'a Handoff.t option;
+    base : 'a Tracker_base.t;
   }
 
   type 'a handle = {
@@ -63,63 +59,51 @@ module Make (A : ADVANCE) = struct
   type 'a ptr = 'a Plain_ptr.t
 
   (* Advance the global epoch if every thread has quiesced in it. *)
-  let try_advance t =
-    let e = Epoch.read t.epoch in
-    let all_quiescent =
-      Array.for_all
-        (fun slot ->
-           Prim.charge_scan ();
-           Atomic.get slot >= e)
-        t.quiescent
-    in
-    if all_quiescent then A.advance t.epoch ~expected:e
+  let try_advance epoch quiescent =
+    let e = Epoch.read epoch in
+    if Epoch.all_reached quiescent e then A.advance epoch ~expected:e
+
+  (* The quiescent state: no references held from here on. *)
+  let quiesce epoch quiescent ~tid =
+    let e = Epoch.read epoch in
+    Prim.write quiescent.(tid) e;
+    Ibr_obs.Probe.unreserve ~slot:0
 
   (* retire_epoch > e - 2, i.e. the two-grace-period threshold.  The
      advance attempt is the reclaimer's [prepare] hook: it must run
      even when the Gated backend skips the sweep, because QSBR's epoch
      only moves through it — a gate that suppressed it would wait on
-     an epoch that can no longer advance. *)
-  let make_reclaimer t ~tid =
-    Reclaimer.create ~backend:t.cfg.Tracker_intf.retire_backend
-      ~empty_freq:t.cfg.Tracker_intf.empty_freq
-      ~prepare:(fun () -> try_advance t)
-      ~current_epoch:(fun () -> Epoch.peek t.epoch)
-      ~source:(fun () ->
-        let e = Epoch.read t.epoch in
-        Reclaimer.Shape (Tracker_common.Conflict.Threshold (e - 1)))
-      ~free:(fun b -> Alloc.free t.alloc ~tid b)
-      ()
+     an epoch that can no longer advance.
 
-  let create ~threads (cfg : Tracker_intf.config) =
-    Tracker_intf.validate ~threads cfg;
-    let t = {
-      epoch = Epoch.create ();
-      (* Initially every thread is quiescent in epoch 1. *)
-      quiescent = Array.init threads (fun _ -> Atomic.make 1);
-      alloc =
-        Alloc.create ~reuse:cfg.reuse ~magazine_size:cfg.magazine_size
-          ~threads:(threads + if cfg.background_reclaim then 1 else 0) ();
-      cfg;
-      threads;
-      census = Tracker_common.Census.create threads;
-      handoff = None;
-    } in
-    if cfg.background_reclaim then
-      t.handoff <-
-        Some
-          (Handoff.create ~producers:threads ~batch:cfg.handoff_batch
-             (make_reclaimer t ~tid:threads));
-    t
+     The caller of a forced sweep is between operations, i.e.
+     quiescent: [settle] announces that, then drives up to two grace
+     periods so that blocks whose other readers have all quiesced
+     become reclaimable.  A slot of [max_int] reads as quiescent in
+     every future epoch: [clear] parks an ejected or detached thread
+     there, so it never blocks an advance again. *)
+  let create ~threads cfg =
+    let epoch = Epoch.create () in
+    (* Initially every thread is quiescent in epoch 1. *)
+    let quiescent = Array.init threads (fun _ -> Atomic.make 1) in
+    let base =
+      Tracker_base.create ~threads cfg
+        ~prepare:(fun () -> try_advance epoch quiescent)
+        ~current_epoch:(fun () -> Epoch.peek epoch)
+        ~source:(fun () () ->
+          let e = Epoch.read epoch in
+          Reclaimer.Shape (Tracker_common.Conflict.Threshold (e - 1)))
+        ~clear:(fun tid -> Prim.write quiescent.(tid) max_int)
+        ~settle:(fun tid ->
+          quiesce epoch quiescent ~tid;
+          try_advance epoch quiescent;
+          quiesce epoch quiescent ~tid;
+          try_advance epoch quiescent)
+        ()
+    in
+    { epoch; quiescent; base }
 
   let register t ~tid =
-    let path =
-      match t.handoff with
-      | Some h -> Handoff.Queued h
-      | None -> Handoff.Direct (make_reclaimer t ~tid)
-    in
-    Alloc.set_pressure_hook t.alloc ~tid (fun () ->
-      Handoff.path_pressure path);
-    { t; tid; path }
+    Tracker_base.register t.base ~tid (fun tid path -> { t; tid; path })
 
   (* Dynamic registration.  A detached slot reads [max_int] ("always
      quiescent"), which must not survive reuse: a joiner is quiescent
@@ -127,27 +111,18 @@ module Make (A : ADVANCE) = struct
      epoch before it can touch shared memory — otherwise two advances
      could race past its first operation and free a block it reads. *)
   let attach t =
-    match
-      Tracker_common.Census.try_attach t.census ~make:(fun tid ->
-        match t.handoff with
-        | Some h -> Handoff.Queued h
-        | None -> Handoff.Direct (make_reclaimer t ~tid))
-    with
-    | None -> None
-    | Some (tid, path) ->
+    Tracker_base.attach t.base (fun tid path ->
       Prim.write t.quiescent.(tid) (Epoch.read t.epoch);
-      Alloc.set_pressure_hook t.alloc ~tid (fun () ->
-        Handoff.path_pressure path);
-      Some { t; tid; path }
+      { t; tid; path })
 
   let handle_tid h = h.tid
 
   let alloc h payload =
-    let b = Alloc.alloc h.t.alloc ~tid:h.tid payload in
+    let b = Alloc.alloc h.t.base.alloc ~tid:h.tid payload in
     Block.set_birth_epoch b (Epoch.peek h.t.epoch);
     b
 
-  let dealloc h b = Alloc.free_unpublished h.t.alloc ~tid:h.tid b
+  let dealloc h b = Alloc.free_unpublished h.t.base.alloc ~tid:h.tid b
 
   let retire h b =
     Block.transition_retire b;
@@ -156,43 +131,16 @@ module Make (A : ADVANCE) = struct
 
   let start_op _ = ()
 
-  (* The quiescent state: no references held from here on. *)
-  let end_op h =
-    let e = Epoch.read h.t.epoch in
-    Prim.write h.t.quiescent.(h.tid) e;
-    Ibr_obs.Probe.unreserve ~slot:0
+  let end_op h = quiesce h.t.epoch h.t.quiescent ~tid:h.tid
 
-  let make_ptr _ ?tag target = Plain_ptr.make ?tag target
-  let read _ ~slot:_ p = Plain_ptr.read p
-  let read_root h p = read h ~slot:0 p
-  let write _ p ?tag target = Plain_ptr.write p ?tag target
-  let cas _ p ~expected ?tag target = Plain_ptr.cas p ~expected ?tag target
-  let unreserve _ ~slot:_ = ()
-  let reassign _ ~src:_ ~dst:_ = ()
+  include Plain_ptr.Unguarded
 
-  let retired_count h = Handoff.path_count h.path
-
-  (* The caller of force_empty is between operations, i.e. quiescent:
-     announce that, then drive up to two grace periods so that blocks
-     whose other readers have all quiesced become reclaimable. *)
-  let force_empty h =
-    Handoff.path_drain h.path ~tid:h.tid;
-    end_op h;
-    try_advance h.t;
-    end_op h;
-    try_advance h.t;
-    Reclaimer.force (Handoff.path_reclaimer h.path)
-
-  let allocator t = t.alloc
+  let retired_count h = Tracker_base.retired_count h.path
+  let force_empty h = Tracker_base.force_empty h.t.base ~tid:h.tid h.path
+  let allocator t = Tracker_base.allocator t.base
   let epoch_value t = Epoch.peek t.epoch
-  let reclaim_service t = Option.map Handoff.service t.handoff
-
-  (* Neutralize a dead thread: a slot of [max_int] reads as quiescent
-     in every future epoch, so the thread never blocks an advance
-     again.  The scratch flush unstrands batched handoff retires. *)
-  let eject t ~tid =
-    (match t.handoff with Some h -> Handoff.flush_own h ~tid | None -> ());
-    Prim.write t.quiescent.(tid) max_int
+  let reclaim_service t = Tracker_base.reclaim_service t.base
+  let eject t ~tid = Tracker_base.eject t.base ~tid
 
   (* Neutralization recovery.  QSBR protection lives in the
      quiescence announcement, not [start_op] (a no-op here): like
@@ -203,14 +151,7 @@ module Make (A : ADVANCE) = struct
     Prim.write h.t.quiescent.(h.tid) (Epoch.read h.t.epoch);
     start_op h
 
-  (* Dynamic deregistration: [force_empty] already announces the
-     quiescent state and helps the epoch forward, then the slot is
-     parked at [max_int] so it never blocks an advance while free. *)
-  let detach h =
-    force_empty h;
-    eject h.t ~tid:h.tid;
-    Alloc.flush_magazines h.t.alloc ~tid:h.tid;
-    Tracker_common.Census.detach h.t.census ~tid:h.tid
+  let detach h = Tracker_base.detach h.t.base ~tid:h.tid h.path
 end
 
 (* The sound scheme: strictly e -> e+1 by CAS, so racing advancers

@@ -26,8 +26,9 @@
                  admit one, and [force] bypasses it.
 
    The tracker supplies its conflict source as closures at [create]
-   time; the sweep itself — storage walk, wholesale frees, telemetry —
-   is shared by all twelve schemes. *)
+   time (through the [Tracker_base] chassis for every sweeping
+   scheme); the sweep itself — storage walk, wholesale frees,
+   telemetry — is shared by all of them. *)
 
 type backend = List | Buckets | Gated
 
@@ -47,8 +48,9 @@ let all_backends = [ List; Buckets; Gated ]
 
 (* What a sweep tests blocks against: the structured conflicts of
    [Tracker_common.Conflict] (which the bucket walk can exploit), or
-   an opaque per-block predicate (HP's hazard-id set, the legacy
-   linear-scan oracles) that forces per-block examination. *)
+   an opaque per-block predicate (HP's hazard-id set, a reference
+   linear-scan predicate under test) that forces per-block
+   examination. *)
 type 'a test =
   | Shape of Tracker_common.Conflict.t
   | Predicate of ('a Block.t -> bool)
@@ -131,10 +133,11 @@ let iter t f =
 (* Unconditional teardown drain: remove every block from the store and
    hand it to [f] — no conflict test, no gate.  This is exactly the
    "free your limbo list on exit without looking at anyone's
-   reservations" mistake; it exists so the Ebr_noflush demonstration
-   oracle can model a broken detach precisely (a pure
-   reservation-ignoring free, with the store left consistent).  Sound
-   code paths never call it. *)
+   reservations" mistake.  Its callers are the [Ebr.Noflush]
+   demonstration oracle, which models a broken detach with it (a pure
+   reservation-ignoring free, with the store left consistent), and
+   benchmark kernels that empty a store between timed sweeps.  No
+   sound tracker path calls it. *)
 let drain_all t f =
   match t.store with
   | Flat r ->

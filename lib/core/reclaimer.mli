@@ -30,8 +30,8 @@ val all_backends : backend list
 
 (** A sweep's conflict test: a structured {!Tracker_common.Conflict.t}
     (which the bucket walk exploits for wholesale decisions) or an
-    opaque predicate (HP's hazard set, legacy linear-scan oracles)
-    that forces per-block examination. *)
+    opaque predicate (HP's hazard set, a reference linear-scan
+    predicate under test) that forces per-block examination. *)
 type 'a test =
   | Shape of Tracker_common.Conflict.t
   | Predicate of ('a Block.t -> bool)
@@ -92,6 +92,6 @@ val drain_all : 'a t -> ('a Block.t -> unit) -> unit
 (** Remove {e every} block from the store and hand it to the callback
     — no conflict test, no gate.  The
     "free your limbo list on exit without consulting reservations"
-    mistake, kept only so the [Ebr_noflush] demonstration oracle can
-    model a broken detach precisely; sound code paths never call
-    it. *)
+    mistake.  The [Ebr.Noflush] demonstration oracle models a broken
+    detach with it, and benchmark kernels use it to empty a store
+    between timed sweeps; no sound tracker path calls it. *)

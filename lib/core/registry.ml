@@ -24,9 +24,9 @@ let fraser_ebr = pack (module Fraser_ebr)
 let debra = pack (module Debra)
 let debra_plus = pack (module Debra_plus)
 let unsafe_free = pack (module Unsafe_free)
-let two_ge_unfenced = pack (module Two_ge_unfenced)
+let two_ge_unfenced = pack (module Two_ge_ibr.Unfenced)
 let qsbr_noncas = pack (module Qsbr.Noncas)
-let ebr_noflush = pack (module Ebr_noflush)
+let ebr_noflush = pack (module Ebr.Noflush)
 let debra_norestart = pack (module Debra_plus.Norestart)
 
 (* The census slot manager behind every tracker's attach/detach,

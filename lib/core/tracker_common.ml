@@ -8,15 +8,10 @@
    [Sweep_snapshot] instead sorts and merges the reservations once per
    sweep, so each block's test is a binary search — O(retired x log T)
    — which is what keeps reclamation cheap at the 72+ thread counts
-   the paper's Fig. 8/9 stress.  The linear predicates are kept (and
-   selectable via [legacy_sweep]) as differential-testing oracles and
-   for the old-vs-new ablation bench. *)
-
-(* Debug/ablation flag: route [empty] through the original
-   O(retired x threads) linear-scan predicates instead of the sorted
-   snapshot.  Flipped by the `ablation:sweep` bench and the
-   differential tests; production paths leave it false. *)
-let legacy_sweep = ref false
+   the paper's Fig. 8/9 stress.  The linear interval predicate is kept
+   as [Interval_res.conflict_with_snapshot], the named reference the
+   differential tests and the old-vs-new ablation bench pass
+   explicitly; no tracker calls it. *)
 
 (* Global sweep telemetry, accumulated by every tracker instance
    (atomics: the domains backend sweeps in parallel).  Harness runners
@@ -337,11 +332,11 @@ module Interval_res = struct
 
   let upper_cell t ~tid = t.upper.(tid)
 
-  (* Legacy linear-scan predicate: snapshot both endpoint arrays and
+  (* Reference linear-scan predicate: snapshot both endpoint arrays and
      test each block against every slot (Fig. 5 line 26, inclusive
      endpoints for safety).  O(threads) per block — kept as the
-     differential-testing oracle for [conflict_fast] and for the
-     `ablation:sweep` old-vs-new bench. *)
+     differential-testing oracle for [sweep_snapshot] and for the
+     `ablation:sweep` old-vs-new bench; no tracker calls it. *)
   let conflict_with_snapshot t =
     let lower = snapshot_reservations t.lower in
     let upper = snapshot_reservations t.upper in
@@ -377,11 +372,6 @@ module Interval_res = struct
     Sweep_stats.note_snapshot ~entries:(2 * n)
       ~cycles:(2 * n * !Prim.costs.Ibr_runtime.Cost.scan_reservation);
     Sweep_snapshot.of_pairs los his !k
-
-  (* The production conflict predicate; obeys [legacy_sweep]. *)
-  let conflict_fast t =
-    if !legacy_sweep then conflict_with_snapshot t
-    else Conflict.pred (Conflict.Intervals (sweep_snapshot t))
 end
 
 (* Dynamic thread census: the slot manager behind every tracker's

@@ -5,14 +5,9 @@
     The sweep path is the hot loop of every scheme's reclamation: one
     conflict test per retired block.  {!Sweep_snapshot} sorts and
     merges the reservations once per sweep so each block's test is a
-    binary search (O(retired x log T)); the linear predicates survive
-    behind {!legacy_sweep} as differential-testing oracles. *)
-
-val legacy_sweep : bool ref
-(** Debug/ablation flag: route sweeps through the original
-    O(retired x threads) linear-scan predicates instead of the sorted
-    snapshot.  Flipped by the `ablation:sweep` bench and the
-    differential tests; production paths leave it [false]. *)
+    binary search (O(retired x log T)); the linear interval predicate
+    survives as {!Interval_res.conflict_with_snapshot}, the reference
+    the differential tests and the ablation bench pass explicitly. *)
 
 (** Global sweep telemetry, accumulated by every tracker instance
     (atomics: the domains backend sweeps in parallel).  Harness
@@ -127,15 +122,13 @@ module Interval_res : sig
   val upper_cell : t -> tid:int -> int Atomic.t
 
   val conflict_with_snapshot : t -> 'a Block.t -> bool
-  (** Legacy linear-scan predicate, O(threads) per block — the
-      differential-testing oracle for the sorted path. *)
+  (** Reference linear-scan predicate, O(threads) per block — the
+      differential-testing oracle for the sorted path.  No tracker
+      calls it. *)
 
   val sweep_snapshot : t -> Sweep_snapshot.t
   (** Sorted-snapshot digest of the table (one O(T log T) build, then
       O(log T) per block). *)
-
-  val conflict_fast : t -> 'a Block.t -> bool
-  (** The production conflict predicate; obeys {!legacy_sweep}. *)
 end
 
 (** Dynamic thread census: slot occupancy manager behind every

@@ -54,3 +54,43 @@ module Ops = struct
 end
 
 include Interval_ibr.Make (Ops)
+
+(* The *literal* Fig. 6 reading of 2GEIBR — a deliberately unsound
+   mutation that swaps only [read].
+
+   Fig. 6's pseudocode reads the pointer (line 3), then extends the
+   upper endpoint (line 4), then verifies the epoch is unchanged
+   (line 5) and returns the pointer read *before* the reservation was
+   published.  The window between line 3 and line 4 admits a race: a
+   reclaimer can snapshot this thread's stale upper endpoint, decide a
+   just-read young block is uncovered, and free it before the
+   extension lands — even though the epoch never changes, so line 5
+   passes.  Kept so the failure is demonstrable rather than
+   hypothetical: the model checker exhibits the use-after-free as a
+   minimal schedule witness (test/traces/).  Never use it for real
+   work. *)
+module Unfenced = Interval_ibr.Make (struct
+    include Ops
+
+    let name = "2GEIBR-unfenced"
+
+    let props = {
+      props with
+      Tracker_intf.summary =
+        "UNSOUND literal Fig. 6 ordering: pointer read escapes before \
+         its reservation publishes; kept as a demonstration oracle";
+    }
+
+    (* Fig. 6 lines 2-5, verbatim ordering. *)
+    let read ~epoch ~upper p =
+      let rec loop () =
+        let v = Plain_ptr.read p in                         (* line 3 *)
+        let e = Epoch.read epoch in
+        let cur = Atomic.get upper in
+        if e > cur then Prim.write upper e;                 (* line 4 *)
+        let e' = Epoch.read epoch in
+        if max cur e = e' then v                            (* line 5 *)
+        else loop ()
+      in
+      loop ()
+  end)

@@ -4,3 +4,9 @@
     {!Tracker_intf.TRACKER} for the operations. *)
 
 include Tracker_intf.TRACKER
+
+module Unfenced : Tracker_intf.TRACKER
+(** The literal Fig. 6 read ordering — a deliberately UNSOUND mutation
+    of 2GEIBR that swaps only [read] (the pointer read escapes before
+    its reservation is published).  The model checker convicts it;
+    demonstration oracle only, not in {!Registry.all}. *)

@@ -16,7 +16,9 @@ type t = {
   ops : int;
   makespan : int;           (** virtual cycles (sim) or wall-clock
                                 microseconds (domains) *)
-  throughput : float;       (** ops per million time units *)
+  throughput : float;       (** ops per million makespan units: ops
+                                per million cycles (sim), ops per
+                                second (domains) *)
   avg_unreclaimed : float;  (** the Fig. 9 metric *)
   peak_unreclaimed : int;
   samples : int;
@@ -30,7 +32,12 @@ val metric : t -> string -> int
 
 val throughput : ops:int -> makespan:int -> float
 
+val throughput_unit : t -> string
+(** The label of [throughput] for this row's backend: ["ops/Mcyc"]
+    on the simulator, ["ops/s"] on domains. *)
+
 val pp : Format.formatter -> t -> unit
+(** One summary line; throughput is labelled by {!throughput_unit}. *)
 
 val csv_header : unit -> string
 (** The identity/figure columns followed by every registered metric

@@ -76,6 +76,24 @@ let test_csv_row_shape () =
     (List.length cells);
   Alcotest.(check string) "first cell" "EBR" (List.hd cells)
 
+(* The summary line labels throughput in its backend's unit: the sim
+   divides by virtual cycles, the domains backend by microseconds. *)
+let test_pp_throughput_unit () =
+  let row backend = {
+    Stats.tracker = "EBR"; ds = "hashmap"; threads = 2; mix = "read-mostly";
+    backend; ops = 1000; makespan = 500_000; throughput = 2000.0;
+    avg_unreclaimed = 0.0; peak_unreclaimed = 0; samples = 0;
+    metrics = Ibr_obs.Metrics.zero ();
+  } in
+  let line backend = Fmt.str "%a" Stats.pp (row backend) in
+  let has s sub = Astring_contains.contains s sub in
+  Alcotest.(check bool) "sim row in ops/Mcyc" true
+    (has (line "sim") "thr=2000.000 ops/Mcyc ");
+  Alcotest.(check bool) "domains row in ops/s" true
+    (has (line "domains") "thr=2000.000 ops/s ");
+  Alcotest.(check bool) "no Mops/Ms label" false
+    (has (line "sim") "Mops/Ms" || has (line "domains") "Mops/Ms")
+
 let test_chart_render () =
   let fig = {
     Chart.fig_id = "t"; title = "test"; ylabel = "y";
@@ -148,6 +166,8 @@ let suite =
     Alcotest.test_case "throughput math" `Quick test_throughput_math;
     Alcotest.test_case "sampler" `Quick test_sampler;
     Alcotest.test_case "csv row shape" `Quick test_csv_row_shape;
+    Alcotest.test_case "summary throughput unit" `Quick
+      test_pp_throughput_unit;
     Alcotest.test_case "chart render" `Quick test_chart_render;
     Alcotest.test_case "experiment lineup" `Quick test_experiment_lineup;
     Alcotest.test_case "runner_sim basic" `Quick test_runner_sim_basic;

@@ -514,21 +514,26 @@ let suite =
     Alcotest.test_case "census basics" `Quick test_census_basics;
     QCheck_alcotest.to_alcotest prop_census_model;
   ]
+  (* Every scheme built on the tracker chassis.  QSBR keeps its own
+     attach test below (an idle joiner pins by design); NoMM never
+     sweeps. *)
   @ List.concat_map
-      (fun name ->
-         let e = Registry.find_exn name in
-         let module T = (val e.Registry.tracker) in
+      (fun (e : Registry.entry) ->
+         let module T = (val e.tracker) in
          [
            Alcotest.test_case
-             (Printf.sprintf "detach unblocks sweeps (%s)" name)
+             (Printf.sprintf "detach unblocks sweeps (%s)" e.name)
              `Quick
              (test_detach_unblocks_sweep (module T));
            Alcotest.test_case
-             (Printf.sprintf "slot reuse aliases nothing (%s)" name)
+             (Printf.sprintf "slot reuse aliases nothing (%s)" e.name)
              `Quick
              (test_slot_reuse_no_alias (module T));
          ])
-      [ "EBR"; "EBR-Fraser"; "TagIBR"; "2GEIBR"; "HP"; "HE"; "POIBR" ]
+      (List.filter
+         (fun (e : Registry.entry) ->
+            e.name <> Registry.qsbr.name && e.name <> Registry.no_mm.name)
+         Registry.all)
   @ [
       Alcotest.test_case "QSBR attach publishes quiescence" `Quick
         test_qsbr_attach_publishes_quiescence;
