@@ -1,675 +1,70 @@
-(* Benchmark harness.  Two layers, both printed by one executable:
+(* The benchmark front end: [main.exe NAME...] runs the named campaigns
+   of the registry (bench/campaigns.ml) in order, [main.exe --list]
+   names them.  Output is the reproduction record (see
+   EXPERIMENTS.md); the exit status is 1 when any campaign's check
+   fails. *)
 
-   1. Bechamel microbenchmarks — *native* wall-clock cost of data-
-      structure operations under each reclamation scheme (the
-      single-thread instruction-overhead component of Fig. 8), one
-      Test.make per (figure panel x scheme), plus ablation kernels
-      (empty_freq sweep).  These run the real code with the
-      cost-model hooks inactive.
+open Cmdliner
+module Campaign = Ibr_harness.Campaign
 
-   2. The discrete-event reproduction of every figure: Fig. 7 table,
-      Fig. 8a-d and 9a-d sweeps, Fig. 10, the A.6 acceptance checks
-      (who wins, by how much, where the curves diverge), and the
-      ablation experiments from DESIGN.md §4.
+let names = List.map (fun (e : Campaign.entry) -> e.name) Campaigns.registry
 
-   Output of `dune exec bench/main.exe` is the full reproduction
-   record (see EXPERIMENTS.md). *)
-
-open Bechamel
-open Toolkit
-
-let ops_per_run = 64
-
-(* A native workload kernel: [ops_per_run] mixed operations against a
-   prefilled structure.  The structure persists across runs; the
-   balanced mix keeps its size stationary. *)
-let make_kernel (module S : Ibr_ds.Ds_intf.RIDEABLE) =
-  let m = Option.get S.map in
-  let threads = 1 in
-  let cfg = Ibr_core.Tracker_intf.default_config ~threads () in
-  let t = S.create ~threads cfg in
-  let h = S.register t ~tid:0 in
-  let key_range = 1024 in
-  let rng = Ibr_runtime.Rng.create 0xdead in
-  for k = 0 to key_range - 1 do
-    if k mod 4 <> 3 then ignore (m.insert h ~key:k ~value:k)
-  done;
-  Staged.stage (fun () ->
-    for _ = 1 to ops_per_run do
-      let k = Ibr_runtime.Rng.int rng key_range in
-      match Ibr_runtime.Rng.int rng 3 with
-      | 0 -> ignore (m.insert h ~key:k ~value:k)
-      | 1 -> ignore (m.remove h ~key:k)
-      | _ -> ignore (m.contains h ~key:k)
-    done)
-
-let figure_tests fig_id ds_name =
-  let maker = Ibr_ds.Ds_registry.find_exn ds_name in
-  List.filter_map
-    (fun (e : Ibr_core.Registry.entry) ->
-       if Ibr_ds.Ds_registry.compatible maker e.tracker then
-         Some
-           (Test.make
-              ~name:(Printf.sprintf "%s:%s:%s" fig_id ds_name e.name)
-              (make_kernel (maker.instantiate e.tracker)))
-       else None)
-    Ibr_core.Registry.paper_set
-
-(* Ablation: empty_freq (k) native cost. *)
-let ksweep_tests =
-  List.map
-    (fun k ->
-       let maker = Ibr_ds.Ds_registry.find_exn "hashmap" in
-       let tracker = (Ibr_core.Registry.find_exn "2GEIBR").tracker in
-       let (module S : Ibr_ds.Ds_intf.RIDEABLE) = maker.instantiate tracker
-       in
-       let m = Option.get S.map in
-       let kernel =
-         let threads = 1 in
-         let cfg =
-           { (Ibr_core.Tracker_intf.default_config ~threads ()) with
-             empty_freq = k } in
-         let t = S.create ~threads cfg in
-         let h = S.register t ~tid:0 in
-         let rng = Ibr_runtime.Rng.create 3 in
-         for key = 0 to 1023 do
-           ignore (m.insert h ~key ~value:key)
-         done;
-         Staged.stage (fun () ->
-           for _ = 1 to ops_per_run do
-             let key = Ibr_runtime.Rng.int rng 1024 in
-             if Ibr_runtime.Rng.bool rng then
-               ignore (m.insert h ~key ~value:key)
-             else ignore (m.remove h ~key)
-           done)
-       in
-       Test.make ~name:(Printf.sprintf "ablation:empty-freq:k=%d" k) kernel)
-    [ 1; 10; 30; 50 ]
-
-(* Ablation: old-vs-new sweep cost.  One kernel = one full sweep over
-   [sweep_block_count] retired blocks (snapshot build + per-block
-   conflict test), so the printed ns/op is the amortized per-block
-   sweep cost.  The retired list is sized for the oversubscribed
-   regime the fix targets — Fig. 9 pins ~250 blocks per sweep there.
-   The linear predicate rescans the reservation table per block
-   (O(threads) each); the sorted snapshot pays one O(T log T) build
-   then O(log T) per block — per-block cost stays near-flat in the
-   thread count (the residue is the build amortized over the list),
-   which is the point of the tentpole change. *)
-let sweep_block_count = 256
-
-let sweep_ablation_tests =
-  let module TC = Ibr_core.Tracker_common in
-  let block_count = sweep_block_count in
-  let epoch_range = 10_000 in
-  let make_blocks rng =
-    Array.init block_count (fun id ->
-      let b = Ibr_core.Block.make ~id id in
-      let birth = 1 + Ibr_runtime.Rng.int rng epoch_range in
-      Ibr_core.Block.set_birth_epoch b birth;
-      Ibr_core.Block.set_retire_epoch b (birth + Ibr_runtime.Rng.int rng 64);
-      b)
-  in
-  List.concat_map
-    (fun threads ->
-       let rng = Ibr_runtime.Rng.create (0x5eeb + threads) in
-       (* Interval reservations (TagIBR/2GEIBR family): ~3/4 of the
-          threads hold a reservation at sweep time. *)
-       let res = TC.Interval_res.create threads in
-       for tid = 0 to threads - 1 do
-         if Ibr_runtime.Rng.int rng 4 < 3 then begin
-           let lo = 1 + Ibr_runtime.Rng.int rng epoch_range in
-           Atomic.set res.TC.Interval_res.lower.(tid) lo;
-           Atomic.set res.TC.Interval_res.upper.(tid)
-             (lo + Ibr_runtime.Rng.int rng 128)
-         end
-       done;
-       (* Era reservations (HE): same density, one era per slot. *)
-       let eras =
-         Array.init (threads * 4) (fun _ ->
-           if Ibr_runtime.Rng.int rng 4 < 3 then
-             1 + Ibr_runtime.Rng.int rng epoch_range
-           else 0)
-       in
-       let blocks = make_blocks rng in
-       let sweep_with conflict =
-         let kept = ref 0 in
-         Array.iter (fun b -> if conflict b then incr kept) blocks;
-         !kept
-       in
-       let interval kind mk =
-         Test.make
-           ~name:(Printf.sprintf "ablation:sweep:interval:%s:t=%d" kind
-                    threads)
-           (Staged.stage (fun () -> ignore (sweep_with (mk ()))))
-       and era kind mk =
-         Test.make
-           ~name:(Printf.sprintf "ablation:sweep:era:%s:t=%d" kind threads)
-           (Staged.stage (fun () -> ignore (sweep_with (mk ()))))
-       in
-       [ interval "linear" (fun () ->
-             TC.Interval_res.conflict_with_snapshot res);
-         interval "sorted" (fun () ->
-             TC.Conflict.pred
-               (TC.Conflict.Intervals (TC.Interval_res.sweep_snapshot res)));
-         era "linear" (fun () ->
-             let reserved =
-               Array.to_list eras |> List.filter (fun e -> e <> 0) in
-             fun b ->
-               List.exists
-                 (fun e ->
-                    Ibr_core.Block.birth_epoch b <= e
-                    && e <= Ibr_core.Block.retire_epoch b)
-                 reserved);
-         era "sorted" (fun () ->
-             TC.Conflict.pred
-               (TC.Conflict.Intervals
-                  (TC.Sweep_snapshot.of_points ~none:0 eras))) ])
-    [ 8; 72; 100 ]
-
-let all_tests =
-  Test.make_grouped ~name:"ibr"
-    (figure_tests "fig8a" "list"
-     @ figure_tests "fig8b" "hashmap"
-     @ figure_tests "fig8c" "nmtree"
-     @ figure_tests "fig8d" "bonsai"
-     @ ksweep_tests
-     @ sweep_ablation_tests)
-
-let run_bechamel () =
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.3) ~stabilize:false
-      ~kde:(Some 500) () in
-  let raw = Benchmark.all cfg instances all_tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Fmt.pr "== native per-op cost (Bechamel, monotonic clock) ==@.";
-  Fmt.pr "%-32s %14s@." "benchmark" "ns/op";
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result -> rows := (name, ols_result) :: !rows)
-    results;
-  (* Sweep-ablation kernels iterate over the retired list, not
-     [ops_per_run] operations, so they normalize by the list size. *)
-  let divisor name =
-    let contains ~sub s =
-      let n = String.length sub and m = String.length s in
-      let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-      go 0
-    in
-    float_of_int
-      (if contains ~sub:"ablation:sweep" name then sweep_block_count
-       else ops_per_run)
-  in
-  List.sort (fun (a, _) (b, _) -> compare a b) !rows
-  |> List.iter (fun (name, ols_result) ->
-    match Analyze.OLS.estimates ols_result with
-    | Some [ est ] ->
-      Fmt.pr "%-32s %14.1f@." name (est /. divisor name)
-    | _ -> Fmt.pr "%-32s %14s@." name "-");
-  Fmt.pr "@."
-
-(* Ablation: retirement backends (DESIGN.md §4).  Same seeded workload
-   under List / Buckets / Gated; prints the telemetry table plus the
-   CSV rows so CI can archive them. *)
-let run_retire_ablation ?(threads_list = [ 16; 32; 48 ]) () =
-  let rows =
-    Ibr_harness.Experiment.retire_backend_sweep ~threads_list () in
-  Fmt.pr "== ablation:retire (backends on hashmap) ==@.%s@."
-    (Ibr_harness.Experiment.retire_backend_table rows);
-  Fmt.pr "csv:@.%s@." (Ibr_harness.Stats.csv_header_tagged ());
-  List.iter
-    (fun r -> Fmt.pr "%s@." (Ibr_harness.Stats.to_csv_row_tagged r))
-    rows;
-  Fmt.pr "@."
-
-(* The robustness campaign (DESIGN.md §7): trackers x fault profiles x
-   run lengths; prints the telemetry table, the acceptance checks, and
-   the CSV rows so CI can archive them. *)
-let run_robustness ?threads ?horizons () =
-  let rows = Ibr_harness.Experiment.robustness_sweep ?threads ?horizons () in
-  Fmt.pr "== robustness campaign (fault profiles on hashmap) ==@.%s@."
-    (Ibr_harness.Experiment.robustness_table rows);
-  List.iter
-    (fun (c : Ibr_harness.Experiment.check) ->
-       Fmt.pr "%s: %s (%s)@."
-         (if c.holds then "PASS" else "FAIL")
-         c.claim c.detail)
-    (Ibr_harness.Experiment.robustness_checks rows);
-  Fmt.pr "@.csv:@.%s@." (Ibr_harness.Stats.csv_header_tagged ());
-  List.iter
-    (fun r -> Fmt.pr "%s@." (Ibr_harness.Stats.to_csv_row_tagged r))
-    rows;
-  Fmt.pr "@."
-
-(* The hardware leg of the robustness campaign: the profile subset the
-   domains backend can honor (no crash injection — a crashed domain
-   cannot be simulated, only a stalled one) on a short wall-clock
-   ladder.  Rows carry backend=domains so archived CSVs never mix
-   machines silently.  Non-deterministic, so no acceptance checks:
-   the gate is that every row completes and the watchdog profile
-   ejects the parked worker. *)
-let run_robustness_domains () =
-  let rows =
-    Ibr_harness.Experiment.robustness_sweep
-      ~backend:Ibr_harness.Experiment.Domains
-      ~trackers:[ "EBR"; "HP"; "2GEIBR" ]
-      ~profiles:Ibr_harness.Experiment.robustness_profiles_hw ~threads:4
-      ~cores:4
-      ~horizons:[ 60_000; 120_000 ] (* wall-clock microseconds *)
-      ()
-  in
-  Fmt.pr "== robustness campaign (domains backend, wall clock) ==@.%s@."
-    (Ibr_harness.Experiment.robustness_table rows);
-  let ejections =
-    List.fold_left
-      (fun acc (r : Ibr_harness.Stats.t) ->
-         acc + Ibr_harness.Stats.metric r "ejections")
-      0
-      (List.filter
-         (fun (r : Ibr_harness.Stats.t) ->
-            let n = String.length r.tracker in
-            n >= 9 && String.sub r.tracker (n - 9) 9 = "+watchdog")
-         rows)
-  in
-  Fmt.pr "%s: wall-clock watchdog ejected the parked worker (%d ejections)@."
-    (if ejections > 0 then "PASS" else "FAIL")
-    ejections;
-  Fmt.pr "@.csv:@.%s@." (Ibr_harness.Stats.csv_header_tagged ());
-  List.iter
-    (fun r -> Fmt.pr "%s@." (Ibr_harness.Stats.to_csv_row_tagged r))
-    rows;
-  Fmt.pr "@.";
-  if ejections = 0 then Stdlib.exit 1
-
-(* Ablation: trace overhead.  The observability tentpole's contract is
-   zero-cost-when-disabled; this mode measures both halves of it.
-
-   Virtual: the probes never call [Hooks.step], so a traced sim run
-   must be *identical* (ops, makespan, throughput) to an untraced one
-   — checked exactly, which is far stronger than the <1% acceptance
-   bar.  Native: the same bechamel kernel timed with probes disabled
-   (the shipping path: one load + branch per emitter) and with tracing
-   + histograms enabled, reporting the enabled-state slowdown. *)
-let run_trace_overhead () =
-  Fmt.pr "== ablation:trace-overhead ==@.";
-  let sim_run () =
-    let spec =
-      { (Ibr_harness.Workload.spec_for "hashmap") with key_range = 512 } in
-    let cfg =
-      Ibr_harness.Runner_sim.default_config ~threads:8 ~horizon:60_000
-        ~cores:8 ~seed:0x7ace ~spec ()
-    in
-    Option.get
-      (Ibr_harness.Runner_sim.run_named ~tracker_name:"2GEIBR"
-         ~ds_name:"hashmap" cfg)
-  in
-  let off = sim_run () in
-  Ibr_obs.Probe.start ~threads:10 ();
-  Ibr_obs.Probe.enable_hist ();
-  let on = sim_run () in
-  Ibr_obs.Probe.stop ();
-  let identical =
-    off.Ibr_harness.Stats.ops = on.Ibr_harness.Stats.ops
-    && off.Ibr_harness.Stats.makespan = on.Ibr_harness.Stats.makespan
-    && off.Ibr_harness.Stats.throughput = on.Ibr_harness.Stats.throughput
-  in
-  Fmt.pr "virtual: untraced ops=%d makespan=%d | traced ops=%d makespan=%d@."
-    off.Ibr_harness.Stats.ops off.Ibr_harness.Stats.makespan
-    on.Ibr_harness.Stats.ops on.Ibr_harness.Stats.makespan;
-  Fmt.pr "%s: tracing leaves the virtual-time run bit-identical@."
-    (if identical then "PASS" else "FAIL");
-  (* Native: one kernel, timed under both probe states. *)
-  let measure label =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let cfg =
-      Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:false ()
-    in
-    let test =
-      Test.make ~name:label
-        (make_kernel
-           ((Ibr_ds.Ds_registry.find_exn "hashmap").instantiate
-              (Ibr_core.Registry.find_exn "2GEIBR").tracker))
-    in
-    let raw = Benchmark.all cfg Instance.[ monotonic_clock ] test in
-    let results = Analyze.all ols Instance.monotonic_clock raw in
-    let est = ref nan in
-    Hashtbl.iter
-      (fun _ r ->
-         match Analyze.OLS.estimates r with
-         | Some [ e ] -> est := e /. float_of_int ops_per_run
-         | _ -> ())
-      results;
-    !est
-  in
-  let ns_off = measure "trace:off" in
-  Ibr_obs.Probe.start ~threads:2 ();
-  Ibr_obs.Probe.enable_hist ();
-  let ns_on = measure "trace:on" in
-  Ibr_obs.Probe.stop ();
-  let delta = (ns_on -. ns_off) /. ns_off *. 100.0 in
-  Fmt.pr
-    "native:  probes disabled %.1f ns/op | tracing+hist enabled %.1f ns/op \
-     (%+.1f%%)@."
-    ns_off ns_on delta;
-  if not identical then Stdlib.exit 1
-
-(* The PR-6 BENCH trajectory: background-reclamation ablation
-   (DESIGN.md §9).  Each sweeping paper-set scheme runs the same
-   seeded sim workload with reclamation inline (background=false) and
-   decoupled through the handoff service (background=true).  A row
-   records throughput, the allocator's peak footprint, and the p99
-   on-thread retire cost in virtual cycles — the [retire_cost]
-   histogram times exactly the mutator-side retire path, which with
-   the feature on is a queue append and with it off includes the
-   amortized sweep.  Virtual time makes every number deterministic,
-   so the committed BENCH_6.json is byte-reproducible and
-   tools/bench_check.exe can gate CI on schema and regressions. *)
-let run_bench_json ~quick path =
-  let schemes = [ "EBR"; "QSBR"; "HP"; "HE"; "TagIBR"; "2GEIBR" ] in
-  let threads = if quick then 4 else 8 in
-  let horizon = if quick then 30_000 else 100_000 in
-  let spec =
-    { (Ibr_harness.Workload.spec_for "hashmap") with key_range = 512 } in
-  Ibr_obs.Probe.enable_hist ();
-  let row tracker background =
-    (* One spare core beyond the mutators: the service fiber gets its
-       own core, as a dedicated reclaimer thread would, and off-rows
-       are unaffected (the mutators never queue either way) — so the
-       ablation isolates the retire-path effect from core stealing. *)
-    let cfg =
-      Ibr_harness.Runner_sim.default_config ~threads ~cores:(threads + 1)
-        ~horizon ~seed:0xb6 ~spec ()
-    in
-    let cfg =
-      { cfg with
-        Ibr_harness.Runner_sim.tracker_cfg =
-          { cfg.Ibr_harness.Runner_sim.tracker_cfg with
-            Ibr_core.Tracker_intf.background_reclaim = background } }
-    in
-    let r =
-      Option.get
-        (Ibr_harness.Runner_sim.run_named ~tracker_name:tracker
-           ~ds_name:"hashmap" cfg)
-    in
-    (* The histogram was re-baselined by the runner's [begin_run], so
-       this summary covers exactly the run above. *)
-    let retire_p99 =
-      match Ibr_obs.Probe.cost_hist () with
-      | Some h ->
-        let _, _, _, p99, _ = Ibr_obs.Metrics.summary h in
-        p99
-      | None -> 0
-    in
-    Fmt.pr "%-8s background=%-5b thr=%10.0f peak=%6d retire_p99=%4d@."
-      tracker background r.Ibr_harness.Stats.throughput
-      (Ibr_harness.Stats.metric r "peak_footprint")
-      retire_p99;
-    Ibr_obs.Json.Obj
-      [
-        ("tracker", Ibr_obs.Json.Str tracker);
-        ("background", Ibr_obs.Json.Bool background);
-        ("throughput", Ibr_obs.Json.Num r.Ibr_harness.Stats.throughput);
-        ("peak_footprint",
-         Ibr_obs.Json.Num
-           (float_of_int (Ibr_harness.Stats.metric r "peak_footprint")));
-        ("retire_p99", Ibr_obs.Json.Num (float_of_int retire_p99));
-      ]
-  in
-  Fmt.pr "== bench: background-reclaim ablation (sim, deterministic) ==@.";
-  let rows =
-    List.concat_map
-      (fun s ->
-         let off = row s false in
-         let on = row s true in
-         [ off; on ])
-      schemes
-  in
-  Ibr_obs.Probe.stop ();
-  let oc = open_out path in
-  output_string oc "{\n  \"rows\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i r ->
-       output_string oc ("    " ^ Ibr_obs.Json.encode r);
-       output_string oc (if i < last then ",\n" else "\n"))
-    rows;
-  output_string oc "  ]\n}\n";
-  close_out oc;
-  Fmt.pr "bench: wrote %d rows -> %s@." (List.length rows) path
-
-(* The PR-7 service campaign (DESIGN.md §10): every sound scheme runs
-   the same open-loop profile — Poisson arrivals with the diurnal ramp
-   and two spike windows, Zipf-skewed keys, a fleet of six workers
-   churning through four census slots — and is held to the same SLO.
-   Virtual time makes each row deterministic, so the table in
-   EXPERIMENTS.md §8 is byte-reproducible; the exit status gates CI on
-   every scheme passing.  The quick variant shrinks the horizon, not
-   the shape: churn, spikes and slot reuse all still happen. *)
-let run_service_campaign ?(quick = false) () =
-  let module Service = Ibr_harness.Service in
-  let profile =
-    Service.default_profile ~workers:4 ~fleet:6 ~cores:8
-      ~horizon:(if quick then 60_000 else 150_000)
-      ~seed:0xca11 ~spec:(Ibr_harness.Workload.spec_for "hashmap") ()
-  in
-  Fmt.pr "== service: open-loop SLO certification (hashmap, churn) ==@.";
-  Fmt.pr "%-12s %8s %9s %7s %7s %7s %7s %7s %8s  %s@." "tracker" "arrivals"
-    "completed" "att/det" "p50" "p90" "p99" "p999" "peak" "SLO";
-  let rows = ref [] and failed = ref 0 in
-  List.iter
-    (fun (e : Ibr_core.Registry.entry) ->
-       match
-         Service.run_named ~tracker_name:e.name ~ds_name:"hashmap" profile
-       with
-       | None -> ()
-       | Some r ->
-         if not r.Service.slo_pass then incr failed;
-         rows := r :: !rows;
-         Fmt.pr "%-12s %8d %9d %3d/%-3d %7d %7d %7d %7d %8d  %s@."
-           r.Service.tracker r.Service.arrivals r.Service.completed
-           r.Service.attaches r.Service.detaches r.Service.p50 r.Service.p90
-           r.Service.p99 r.Service.p999 r.Service.peak_footprint
-           (if r.Service.slo_pass then "PASS" else "FAIL"))
-    Ibr_core.Registry.all;
-  Fmt.pr "@.csv:@.%s@." Service.csv_header;
-  List.iter (fun r -> Fmt.pr "%s@." (Service.to_csv_row r)) (List.rev !rows);
-  Fmt.pr "@.";
-  if !failed > 0 then begin
-    Fmt.epr "service: %d scheme(s) missed the SLO@." !failed;
-    Stdlib.exit 1
+let main list quick out_dir trace hist selected =
+  if list then begin
+    List.iter
+      (fun (e : Campaign.entry) -> Fmt.pr "%-16s %s@." e.name e.doc)
+      Campaigns.registry;
+    `Ok 0
   end
-
-(* Remedy comparison under *live* stalls (DESIGN.md §12): the same
-   open-loop service on DEBRA+, the same injected stall regime, once
-   per watchdog remedy.  Ejection treats a stalled worker as dead,
-   but every victim here is alive and resumes — expiring the
-   reservations of one caught mid-traversal readmits use-after-free
-   (unsound in general: the model checker certifies a minimal UAF
-   interleaving in the neutralize_mid_op scenario, replayed in CI).
-   Both runs execute in [Fault.Count] mode and print the fault tally;
-   whether a fault lands in this one finite window depends on sweep
-   timing, so the tally is reported, not gated.  Neutralization
-   delivers a restart signal instead: the victim unwinds through
-   [Ds_common.with_op], re-protects, and keeps serving — the gate
-   demands zero faults, zero ejections, and at least one counted
-   recovery.  Virtual time makes both rows deterministic. *)
-let run_service_heal () =
-  let module Service = Ibr_harness.Service in
-  let seed = 0x43a1 and horizon = 150_000 and cores = 4 in
-  let run ~neutralize =
-    let profile =
-      Service.default_profile ~workers:4 ~fleet:6 ~cores ~horizon ~seed
-        ~watchdog:(5_000, 2) ~neutralize
-        ~spec:(Ibr_harness.Workload.spec_for "list") ()
+  else if selected = [] then `Error (true, "no campaign NAME given")
+  else
+    (* A trace of a whole campaign is heavy but Perfetto copes; rings
+       drop-oldest beyond capacity. *)
+    let status, trace_ok =
+      Ibr_obs.Trace_export.observe ~trace ~hist ~threads:16 (fun () ->
+        Campaign.run ?out_dir ~quick Campaigns.registry selected)
     in
-    (* Stalls fire only when fibers outnumber cores; fleet=6 on 4
-       cores keeps the run in the oversubscribed (live-stall)
-       regime. *)
-    let sched =
-      Ibr_runtime.Sched.create
-        { Ibr_runtime.Sched.default_config with
-          cores; seed; stall_prob = 0.3; stall_len = 30_000 }
-    in
-    let exec = Ibr_harness.Run_engine.sim_exec ~sched ~horizon in
-    Ibr_core.Fault.with_counting (fun () ->
-      match
-        Service.run_named_exec ~exec ~tracker_name:"DEBRA+"
-          ~ds_name:"list" profile
-      with
-      | Some r -> r
-      | None -> assert false (* DEBRA+ runs every rideable *))
-  in
-  Fmt.pr "== service: watchdog remedy under live stalls (DEBRA+) ==@.";
-  Fmt.pr "%-12s %9s %7s %7s %5s %5s %5s %7s@." "remedy" "completed" "p99"
-    "p999" "ejct" "ntrl" "rcvr" "faults";
-  let row name (r, faults) =
-    Fmt.pr "%-12s %9d %7d %7d %5d %5d %5d %7d@." name r.Service.completed
-      r.Service.p99 r.Service.p999 r.Service.ejections
-      r.Service.neutralizations r.Service.recovered faults
-  in
-  let ((ej, ej_faults) as eject) = run ~neutralize:false in
-  let ((nt, nt_faults) as neut) = run ~neutralize:true in
-  row "eject" eject;
-  row "neutralize" neut;
-  Fmt.pr "@.csv:@.%s@." Service.csv_header;
-  Fmt.pr "%s@.%s@.@." (Service.to_csv_row ej) (Service.to_csv_row nt);
-  let gate name ok =
-    Fmt.pr "%s: %s@." (if ok then "PASS" else "FAIL") name;
-    ok
-  in
-  let ok =
-    [
-      gate "eject remedy wrote off live workers (ejections > 0)"
-        (ej.Service.ejections > 0);
-      gate "neutralize remedy never ejected" (nt.Service.ejections = 0);
-      gate "neutralize remedy signalled and healed (ntrl > 0, rcvr > 0)"
-        (nt.Service.neutralizations > 0 && nt.Service.recovered > 0);
-      gate "neutralized run is fault-free" (nt_faults = 0);
-    ]
-  in
-  if ej_faults > 0 then
-    Fmt.pr "note: ejecting live workers readmitted %d memory fault(s)@."
-      ej_faults;
-  Fmt.pr "@.";
-  if List.exists not ok then Stdlib.exit 1
+    `Ok (if trace_ok then status else 1)
 
-(* The workload-diversity campaign (ISSUE 10): scheme x YCSB-like
-   profile, each profile on a capability-matched rideable (see
-   Experiment.profile_rideables).  Deterministic sim rows; the table
-   is the one committed in EXPERIMENTS.md. *)
-let run_profiles ?(quick = false) () =
-  let threads = if quick then 8 else 16 in
-  let horizon = if quick then 30_000 else 60_000 in
-  let rows = Ibr_harness.Experiment.profile_sweep ~threads ~horizon () in
-  Fmt.pr
-    "== workload profiles (scheme x YCSB mix, t=%d, cells thr / space) ==@.%s@."
-    threads
-    (Ibr_harness.Experiment.profile_table rows);
-  Fmt.pr "csv:@.%s@." (Ibr_harness.Stats.csv_header_tagged ());
-  List.iter
-    (fun r -> Fmt.pr "%s@." (Ibr_harness.Stats.to_csv_row_tagged r))
-    rows;
-  Fmt.pr "@."
+let list =
+  Arg.(value & flag & info [ "list" ] ~doc:"Name and describe every campaign.")
 
-let run_figures () =
-  let threads_list = Ibr_harness.Experiment.quick_threads in
-  Fmt.pr "== Fig. 7: scheme tradeoffs ==@.%s@."
-    (Ibr_harness.Experiment.fig7_table ());
-  let all_rows = ref [] in
-  List.iter
-    (fun ds ->
-       let r = Ibr_harness.Experiment.fig8_9 ~threads_list ds in
-       print_string (Ibr_harness.Chart.to_string r.throughput_fig);
-       print_string (Ibr_harness.Chart.to_string r.space_fig);
-       all_rows := (ds, r.rows) :: !all_rows)
-    [ "list"; "hashmap"; "nmtree"; "bonsai" ];
-  let r10 = Ibr_harness.Experiment.fig10 ~threads_list () in
-  print_string (Ibr_harness.Chart.to_string r10.space_fig);
-  (* Acceptance checks per mutable-pointer panel. *)
-  List.iter
-    (fun (ds, rows) ->
-       let checks = Ibr_harness.Experiment.headline_checks rows in
-       if checks <> [] then begin
-         Fmt.pr "== A.6 checks (%s) ==@." ds;
-         List.iter
-           (fun (c : Ibr_harness.Experiment.check) ->
-              Fmt.pr "%s: %s (%s)@."
-                (if c.holds then "PASS" else "FAIL")
-                c.claim c.detail)
-           checks;
-         Fmt.pr "@."
-       end)
-    (List.rev !all_rows);
-  (* Ablations (DESIGN.md §4). *)
-  let thr, spc, _ = Ibr_harness.Experiment.empty_freq_sweep () in
-  print_string (Ibr_harness.Chart.to_string thr);
-  print_string (Ibr_harness.Chart.to_string spc);
-  print_string
-    (Ibr_harness.Chart.to_string (Ibr_harness.Experiment.fence_cost_sweep ()));
-  print_string
-    (Ibr_harness.Chart.to_string
-       (Ibr_harness.Experiment.tagibr_strategy_sweep ()));
-  run_profiles ();
-  run_retire_ablation ();
-  run_robustness ();
-  run_service_campaign ()
+let quick =
+  Arg.(value & flag
+       & info [ "quick" ]
+           ~doc:"Run each campaign's reduced-scale variant where it has one.")
 
+let out_dir =
+  Arg.(value & opt (some string) None
+       & info [ "out-dir" ] ~docv:"DIR"
+           ~doc:"Write each campaign's CSV/JSON files under $(docv).")
+
+let trace =
+  Arg.(value & opt (some string) None
+       & info [ "trace" ] ~docv:"FILE"
+           ~doc:"Record probe events and write a Chrome trace to $(docv).")
+
+let hist =
+  Arg.(value & flag
+       & info [ "hist" ] ~doc:"Collect and print latency histograms.")
+
+let selected =
+  Arg.(value & pos_all (enum (List.map (fun n -> (n, n)) names)) []
+       & info [] ~docv:"NAME"
+           ~doc:("Campaigns to run, in order: " ^ String.concat ", " names))
+
+let cmd =
+  Cmd.v
+    (Cmd.info "bench" ~doc:"run the paper's experiments by campaign name")
+    Term.(ret (const main $ list $ quick $ out_dir $ trace $ hist $ selected))
+
+(* A usage error (unknown flag or name, no name) names the campaigns. *)
 let () =
-  let module Cli = Ibr_harness.Cli in
-  let skip_bechamel = Cli.has_flag Sys.argv "--figures-only" in
-  let skip_figures = Cli.has_flag Sys.argv "--bechamel-only" in
-  let retire_only = Cli.has_flag Sys.argv "--retire-only" in
-  let retire_quick = Cli.has_flag Sys.argv "--retire-quick" in
-  let robust_only = Cli.has_flag Sys.argv "--robust-only" in
-  let robust_quick = Cli.has_flag Sys.argv "--robust-quick" in
-  let robust_domains = Cli.has_flag Sys.argv "--robust-domains" in
-  let profiles_only = Cli.has_flag Sys.argv "--profiles-only" in
-  let profiles_quick = Cli.has_flag Sys.argv "--profiles-quick" in
-  let service_only = Cli.has_flag Sys.argv "--service-only" in
-  let service_quick = Cli.has_flag Sys.argv "--service-quick" in
-  let service_heal = Cli.has_flag Sys.argv "--service-heal" in
-  let trace_overhead = Cli.has_flag Sys.argv "--trace-overhead" in
-  let bench_json = Cli.find_value Sys.argv "--bench-json" in
-  let bench_quick = Cli.has_flag Sys.argv "--bench-quick" in
-  (* Same observability switches as bin/: a trace of a whole campaign
-     is heavy but Perfetto copes; rings drop-oldest beyond capacity. *)
-  let trace_out = Cli.find_value Sys.argv "--trace" in
-  if trace_out <> None then Ibr_obs.Probe.start ~threads:16 ();
-  if Cli.has_flag Sys.argv "--hist" then Ibr_obs.Probe.enable_hist ();
-  if trace_overhead then run_trace_overhead ()
-  else if bench_json <> None then
-    run_bench_json ~quick:bench_quick (Option.get bench_json)
-  else if profiles_quick then run_profiles ~quick:true ()
-  else if profiles_only then run_profiles ()
-  else if retire_quick then run_retire_ablation ~threads_list:[ 8; 16 ] ()
-  else if retire_only then run_retire_ablation ()
-  else if service_heal then run_service_heal ()
-  else if service_quick then run_service_campaign ~quick:true ()
-  else if service_only then run_service_campaign ()
-  else if robust_domains then run_robustness_domains ()
-  else if robust_quick then
-    (* Reduced scale, but the tail of the horizon ladder must still be
-       past the robust schemes' pinned-set saturation point or the
-       flat-tail checks have nothing to measure. *)
-    run_robustness ~threads:8 ~horizons:[ 60_000; 120_000; 240_000 ] ()
-  else if robust_only then run_robustness ()
-  else begin
-    if not skip_bechamel then run_bechamel ();
-    if not skip_figures then run_figures ()
-  end;
-  if Ibr_obs.Probe.hist_enabled () then
-    Fmt.pr "%t" Ibr_obs.Trace_export.report_hist;
-  match trace_out with
-  | None -> ()
-  | Some path ->
-    Ibr_obs.Trace_export.write_file path;
-    (match Ibr_obs.Trace_export.validate_file path with
-     | Ok n -> Fmt.pr "trace: %d events -> %s@." n path
-     | Error msg ->
-       Fmt.epr "trace: INVALID (%s)@." msg;
-       Stdlib.exit 1)
+  exit
+    (match Cmd.eval_value cmd with
+     | Ok (`Ok status) -> status
+     | Ok (`Version | `Help) -> 0
+     | Error (`Parse | `Term) ->
+       Fmt.epr "valid campaign names: %s@." (String.concat ", " names);
+       Cmd.Exit.cli_error
+     | Error `Exn -> Cmd.Exit.internal_error)

@@ -81,19 +81,12 @@ let run_one ~(base : Cli.base) ~cores ~seed ~backend ~empty_freq ~epoch_freq
       Fmt.pr "cores=%d seed=%d backend=%s costs=%a@." cores seed backend
         Ibr_runtime.Cost.pp !Ibr_core.Prim.costs;
     Fmt.pr "%a@." Ibr_harness.Stats.pp r;
-    (match output with
-     | None -> ()
-     | Some path ->
-       let existed = Sys.file_exists path in
-       let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-       if not existed then begin
-         output_string oc (Ibr_harness.Stats.csv_header ());
-         output_char oc '\n'
-       end;
-       output_string oc (Ibr_harness.Stats.to_csv_row r);
-       output_char oc '\n';
-       close_out oc;
-       Fmt.pr "appended to %s@." path)
+    Option.iter
+      (fun path ->
+         Ibr_harness.Csv_out.append path
+           ~header:(Ibr_harness.Stats.csv_header ())
+           (Ibr_harness.Stats.to_csv_row r))
+      output
 
 (* ---- open-loop service simulation (--service) ---- *)
 
@@ -153,19 +146,11 @@ let run_service ~rideable ~tracker ~threads ~interval ~cores ~seed ~backend
   | Some r ->
     Fmt.pr "%a@." Service.pp r;
     if verbose then Fmt.pr "verdicts: %s@." (Service.verdicts_csv r);
-    (match output with
-     | None -> ()
-     | Some path ->
-       let existed = Sys.file_exists path in
-       let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-       if not existed then begin
-         output_string oc Service.csv_header;
-         output_char oc '\n'
-       end;
-       output_string oc (Service.to_csv_row r);
-       output_char oc '\n';
-       close_out oc;
-       Fmt.pr "appended to %s@." path);
+    Option.iter
+      (fun path ->
+         Ibr_harness.Csv_out.append path ~header:Service.csv_header
+           (Service.to_csv_row r))
+      output;
     (* CI gates on the SLO verdict. *)
     if not r.Service.slo_pass then exit 1
 
@@ -502,29 +487,21 @@ let cmd =
                   ~watchdog:service_watchdog ~slo_p50 ~slo_p99 ~slo_p999
                   ~slo_peak ~key_range ~output ~verbose
               | None, None ->
-                (* Observability switches.  Rings grow on demand, so
-                   the thread hint only sizes the initial table. *)
-                if trace <> None then
-                  Ibr_obs.Probe.start ~threads:(threads + 2) ();
-                if hist then Ibr_obs.Probe.enable_hist ();
-                List.iter
-                  (fun (base : Cli.base) ->
-                     run_one ~base ~cores ~seed ~backend ~empty_freq
-                       ~epoch_freq ~key_range ~background_reclaim
-                       ~magazine_size ~handoff_batch ~output ~verbose)
-                  (Cli.expand_metas metas
-                     { Cli.rideable; tracker; threads; interval; mix;
-                       retire; faults });
-                if hist then Fmt.pr "%t" Ibr_obs.Trace_export.report_hist;
-                (match trace with
-                 | None -> ()
-                 | Some path ->
-                   Ibr_obs.Trace_export.write_file path;
-                   (match Ibr_obs.Trace_export.validate_file path with
-                    | Ok n -> Fmt.pr "trace: %d events -> %s@." n path
-                    | Error msg ->
-                      Fmt.epr "trace: INVALID (%s)@." msg;
-                      Stdlib.exit 1))
+                (* Rings grow on demand, so the thread hint only sizes
+                   the initial table. *)
+                let (), trace_ok =
+                  Ibr_obs.Trace_export.observe ~trace ~hist
+                    ~threads:(threads + 2) (fun () ->
+                      List.iter
+                        (fun (base : Cli.base) ->
+                           run_one ~base ~cores ~seed ~backend ~empty_freq
+                             ~epoch_freq ~key_range ~background_reclaim
+                             ~magazine_size ~handoff_batch ~output ~verbose)
+                        (Cli.expand_metas metas
+                           { Cli.rideable; tracker; threads; interval; mix;
+                             retire; faults }))
+                in
+                if not trace_ok then Stdlib.exit 1
             with
             | Failure msg | Invalid_argument msg ->
               Fmt.epr "error: %s@." msg;

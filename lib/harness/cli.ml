@@ -94,23 +94,3 @@ let expand_metas metas base =
        | _ ->
          failwith (Printf.sprintf "bad --meta %S; want key:v1:v2:..." meta))
     [ base ] metas
-
-(* Minimal argv helpers for the bechamel harness, which keeps plain
-   Sys.argv scanning instead of cmdliner (bechamel owns most of its
-   surface). *)
-let has_flag argv name = Array.exists (( = ) name) argv
-
-let find_value argv name =
-  let n = Array.length argv in
-  let rec go i =
-    if i >= n then None
-    else if argv.(i) = name && i + 1 < n then Some argv.(i + 1)
-    else
-      match String.length name, argv.(i) with
-      | ln, a
-        when String.length a > ln + 1
-          && String.sub a 0 (ln + 1) = name ^ "=" ->
-        Some (String.sub a (ln + 1) (String.length a - ln - 1))
-      | _ -> go (i + 1)
-  in
-  go 1

@@ -1,8 +1,6 @@
-(** Shared command-line vocabulary for the benchmark front ends.
-
-    [bin/] (cmdliner) and [bench/] (plain argv) accept the same
-    workload axes; this module owns the parsers and the
-    parharness-style [--meta] expansion so they cannot drift.  The
+(** Command-line vocabulary for the workload axes of [bin/]: this
+    module owns the parsers and the parharness-style [--meta]
+    expansion so they cannot drift.  The
     {!meta_keys} table is the single source of truth: setters, docs
     ({!meta_key_doc}) and {!expand_metas} all derive from it. *)
 
@@ -40,9 +38,3 @@ val expand_metas : string list -> base -> base list
 (** [expand_metas metas base] Cartesian-expands parharness-style
     [key:v1:v2:...] specifications over [base].  Raises [Failure] on a
     malformed spec or unknown key. *)
-
-val has_flag : string array -> string -> bool
-(** [has_flag argv "--x"] — plain argv scan (bench front end). *)
-
-val find_value : string array -> string -> string option
-(** [find_value argv "--x"] accepts both ["--x" "v"] and ["--x=v"]. *)

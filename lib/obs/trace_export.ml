@@ -182,3 +182,23 @@ let report_hist ppf =
          Fmt.pf ppf "  %-18s %10d calls %12d cycles@."
            (Probe.cost_kind_name k) count cycles)
       charges
+
+let observe ~trace ~hist ~threads f =
+  if trace <> None then Probe.start ~threads ();
+  if hist then Probe.enable_hist ();
+  let result = f () in
+  if hist || Probe.hist_enabled () then Fmt.pr "%t" report_hist;
+  let ok =
+    match trace with
+    | None -> true
+    | Some path ->
+      write_file path;
+      (match validate_file path with
+       | Ok n ->
+         Fmt.pr "trace: %d events -> %s@." n path;
+         true
+       | Error msg ->
+         Fmt.epr "trace: INVALID (%s)@." msg;
+         false)
+  in
+  (result, ok)

@@ -11,3 +11,10 @@ val validate_file : string -> (int, string) result
 
 (* Retire-age percentiles and per-primitive cost attribution. *)
 val report_hist : Format.formatter -> unit
+
+(* The --trace FILE / --hist switches every front end shares: start the
+   probes as asked ([threads] sizes the initial ring table), run [f],
+   print the histogram report when histograms are on, then write and
+   validate the trace.  The flag is false when the trace is invalid. *)
+val observe :
+  trace:string option -> hist:bool -> threads:int -> (unit -> 'a) -> 'a * bool

@@ -157,6 +157,98 @@ let test_fig7_table_text () =
          (Astring_contains.contains s name))
     [ "EBR"; "HP"; "HE"; "POIBR"; "TagIBR"; "2GEIBR" ]
 
+(* The bench front end: registry shape, the names CI runs, and the
+   runner's exit status. *)
+let registry_names =
+  List.map (fun (e : Campaign.entry) -> e.name) Campaigns.registry
+
+let test_registry_unique () =
+  Alcotest.(check int) "no duplicate names"
+    (List.length registry_names)
+    (List.length (List.sort_uniq compare registry_names))
+
+(* Every [bench/main.exe -- NAME...] invocation of the CI workflow:
+   the positional names after the [--], skipping flags and the values
+   of [--out-dir]/[--trace]. *)
+let ci_bench_names () =
+  let ic = open_in "../.github/workflows/ci.yml" in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let marker = "bench/main.exe --" in
+  let index_of line =
+    let n = String.length marker in
+    let rec go i =
+      if i + n > String.length line then None
+      else if String.sub line i n = marker then Some i
+      else go (i + 1)
+    in
+    go 0
+  in
+  let rec names_of = function
+    | [] | ("|" | "\\" | "&&" | ">") :: _ -> []
+    | ("--out-dir" | "--trace") :: _ :: rest -> names_of rest
+    | w :: rest when w = "" || w.[0] = '-' -> names_of rest
+    | w :: rest -> w :: names_of rest
+  in
+  String.split_on_char '\n' text
+  |> List.concat_map (fun line ->
+    match index_of line with
+    | None -> []
+    | Some i ->
+      let from = i + String.length marker in
+      names_of
+        (String.split_on_char ' '
+           (String.sub line from (String.length line - from))))
+
+let test_ci_names_resolve () =
+  let names = ci_bench_names () in
+  Alcotest.(check bool) "CI runs at least 8 bench campaigns" true
+    (List.length names >= 8);
+  List.iter
+    (fun name ->
+       Alcotest.(check bool) (name ^ " resolves") true
+         (match Campaign.resolve Campaigns.registry name with
+          | _ -> true
+          | exception Invalid_argument _ -> false))
+    names
+
+let test_fig7_entry () =
+  match Campaign.resolve Campaigns.registry "fig7" with
+  | [ run ] ->
+    let r = run ~quick:false in
+    Alcotest.(check string) "body is the Fig. 7 table"
+      (Experiment.fig7_table ()) r.body;
+    Alcotest.(check int) "no checks" 0 (List.length r.checks)
+  | _ -> Alcotest.fail "fig7 should be a single campaign"
+
+let test_runner_exit_status () =
+  let entry name holds =
+    { Campaign.name; doc = "";
+      run =
+        Campaign
+          (fun ~quick:_ ->
+             { title = name; body = "b\n";
+               checks = [ { Experiment.claim = "c"; holds; detail = "" } ];
+               files = [] }) }
+  in
+  let registry =
+    [ entry "pass" true; entry "fail" false;
+      { name = "both"; doc = ""; run = Group [ "pass"; "fail" ] } ]
+  in
+  Alcotest.(check int) "all checks hold" 0
+    (Campaign.run ~quick:true registry [ "pass" ]);
+  Alcotest.(check int) "one failing check" 1
+    (Campaign.run ~quick:true registry [ "both" ]);
+  Alcotest.(check string) "check line" "FAIL: c (d)"
+    (Campaign.check_line
+       { Experiment.claim = "c"; holds = false; detail = "d" })
+
+let test_groups_expand () =
+  let count name = List.length (Campaign.resolve Campaigns.registry name) in
+  Alcotest.(check int) "figures: 9 campaigns" 9 (count "figures");
+  Alcotest.(check int) "all: native + figures + 4 sim campaigns" 14
+    (count "all")
+
 let suite =
   [
     Alcotest.test_case "mix rates" `Quick test_mix_rates;
@@ -176,4 +268,12 @@ let suite =
     Alcotest.test_case "incompatible pair rejected" `Quick
       test_runner_sim_incompatible_pair;
     Alcotest.test_case "fig7 table" `Quick test_fig7_table_text;
+    Alcotest.test_case "bench registry names unique" `Quick
+      test_registry_unique;
+    Alcotest.test_case "bench names in CI resolve" `Quick
+      test_ci_names_resolve;
+    Alcotest.test_case "bench fig7 entry" `Quick test_fig7_entry;
+    Alcotest.test_case "bench runner exit status" `Quick
+      test_runner_exit_status;
+    Alcotest.test_case "bench groups expand" `Quick test_groups_expand;
   ]

@@ -1,4 +1,5 @@
-(* CI gate for BENCH_6.json (bench/main.exe --bench-json).
+(* CI gate for BENCH_6.json, as written by
+   `bench/main.exe bench6 --out-dir DIR`.
 
      dune exec tools/bench_check.exe -- NEW.json [BASELINE.json]
 
