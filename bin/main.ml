@@ -8,44 +8,55 @@
 open Cmdliner
 module Cli = Ibr_harness.Cli
 
-let run_one ~(base : Cli.base) ~cores ~seed ~backend ~empty_freq ~epoch_freq
-    ~key_range ~background_reclaim ~magazine_size ~handoff_batch ~output
+(* The tracker-config flags over a runner's default config; [retire]
+   and [threads] come from the (possibly --meta-expanded) run. *)
+let override_tracker_cfg ~empty_freq ~epoch_freq ~background_reclaim
+    ~magazine_size ~handoff_batch ~retire ~threads
+    (cfg : Ibr_core.Tracker_intf.config) =
+  let cfg = { cfg with retire_backend = Cli.parse_retire_backend retire } in
+  let cfg =
+    match empty_freq with Some k -> { cfg with empty_freq = k } | None -> cfg
+  in
+  let cfg =
+    match epoch_freq with
+    | Some k -> { cfg with epoch_freq = k * threads }
+    | None -> cfg
+  in
+  let cfg =
+    if background_reclaim then
+      { cfg with Ibr_core.Tracker_intf.background_reclaim = true }
+    else cfg
+  in
+  let cfg =
+    match magazine_size with
+    | Some m -> { cfg with magazine_size = m }
+    | None -> cfg
+  in
+  match handoff_batch with
+  | Some k -> { cfg with handoff_batch = k }
+  | None -> cfg
+
+let spec_of ~rideable ~mix ~key_range =
+  let base = Ibr_harness.Workload.spec_for ~mix:(Cli.parse_mix mix) rideable in
+  match key_range with
+  | Some r -> { base with key_range = r }
+  | None -> base
+
+let or_incompatible ~tracker ~rideable = function
+  | Some r -> r
+  | None ->
+    Fmt.epr "error: tracker %s is not compatible with rideable %s@." tracker
+      rideable;
+    exit 1
+
+let run_one ~(base : Cli.base) ~tune ~cores ~seed ~backend ~key_range ~output
     ~verbose =
   let { Cli.rideable; tracker; threads; interval; mix; retire; faults } =
     base in
-  let mix = Cli.parse_mix mix in
-  let spec =
-    let base = Ibr_harness.Workload.spec_for ~mix rideable in
-    match key_range with
-    | Some r -> { base with key_range = r }
-    | None -> base
-  in
-  let override_tracker_cfg (cfg : Ibr_core.Tracker_intf.config) =
-    let cfg =
-      { cfg with retire_backend = Cli.parse_retire_backend retire } in
-    let cfg =
-      match empty_freq with Some k -> { cfg with empty_freq = k } | None -> cfg
-    in
-    let cfg =
-      match epoch_freq with
-      | Some k -> { cfg with epoch_freq = k * threads }
-      | None -> cfg
-    in
-    let cfg =
-      if background_reclaim then
-        { cfg with Ibr_core.Tracker_intf.background_reclaim = true }
-      else cfg
-    in
-    let cfg =
-      match magazine_size with
-      | Some m -> { cfg with magazine_size = m }
-      | None -> cfg
-    in
-    match handoff_batch with
-    | Some k -> { cfg with handoff_batch = k }
-    | None -> cfg
-  in
-  let result =
+  let spec = spec_of ~rideable ~mix ~key_range in
+  let override_tracker_cfg = tune ~retire ~threads in
+  let r =
+    or_incompatible ~tracker ~rideable @@
     match backend with
     | "sim" ->
       let base =
@@ -71,35 +82,26 @@ let run_one ~(base : Cli.base) ~cores ~seed ~backend ~empty_freq ~epoch_freq
         ~ds_name:rideable cfg
     | s -> failwith (Printf.sprintf "unknown backend %S (sim|domains)" s)
   in
-  match result with
-  | None ->
-    Fmt.epr "error: tracker %s is not compatible with rideable %s@." tracker
-      rideable;
-    exit 1
-  | Some r ->
-    if verbose then
-      Fmt.pr "cores=%d seed=%d backend=%s costs=%a@." cores seed backend
-        Ibr_runtime.Cost.pp !Ibr_core.Prim.costs;
-    Fmt.pr "%a@." Ibr_harness.Stats.pp r;
-    Option.iter
-      (fun path ->
-         Ibr_harness.Csv_out.append path
-           ~header:(Ibr_harness.Stats.csv_header ())
-           (Ibr_harness.Stats.to_csv_row r))
-      output
+  if verbose then
+    Fmt.pr "cores=%d seed=%d backend=%s costs=%a@." cores seed backend
+      Ibr_runtime.Cost.pp !Ibr_core.Prim.costs;
+  Fmt.pr "%a@." Ibr_harness.Stats.pp r;
+  Option.iter
+    (fun path ->
+       Ibr_harness.Csv_out.append path
+         ~header:(Ibr_harness.Stats.csv_header ())
+         (Ibr_harness.Stats.to_csv_row r))
+    output
 
 (* ---- open-loop service simulation (--service) ---- *)
 
-let run_service ~rideable ~tracker ~threads ~interval ~cores ~seed ~backend
-    ~fleet ~period ~arrival ~zipf ~watchdog ~slo_p50 ~slo_p99 ~slo_p999
-    ~slo_peak ~key_range ~output ~verbose =
+let run_service ~(base : Cli.base) ~tune ~cores ~seed ~backend ~fleet
+    ~period ~arrival ~zipf ~watchdog ~slo_p50 ~slo_p99 ~slo_p999 ~slo_peak
+    ~key_range ~output ~verbose =
   let module Service = Ibr_harness.Service in
-  let spec =
-    let base = Ibr_harness.Workload.spec_for rideable in
-    match key_range with
-    | Some r -> { base with key_range = r }
-    | None -> base
-  in
+  let { Cli.rideable; tracker; threads; interval; mix; retire; faults = _ } =
+    base in
+  let spec = spec_of ~rideable ~mix ~key_range in
   let arrival =
     match Service.arrival_of_string arrival with
     | Some a -> a
@@ -123,7 +125,11 @@ let run_service ~rideable ~tracker ~threads ~interval ~cores ~seed ~backend
       ?watchdog:(if watchdog then Some (15_000, 3) else None)
       ~slo ~spec ()
   in
-  let result =
+  let profile =
+    { profile with tracker_cfg = tune ~retire ~threads profile.tracker_cfg }
+  in
+  let r =
+    or_incompatible ~tracker ~rideable @@
     match backend with
     | "sim" -> Service.run_named ~tracker_name:tracker ~ds_name:rideable profile
     | "domains" ->
@@ -138,21 +144,15 @@ let run_service ~rideable ~tracker ~threads ~interval ~cores ~seed ~backend
         profile
     | s -> failwith (Printf.sprintf "unknown backend %S (sim|domains)" s)
   in
-  match result with
-  | None ->
-    Fmt.epr "error: tracker %s is not compatible with rideable %s@." tracker
-      rideable;
-    exit 1
-  | Some r ->
-    Fmt.pr "%a@." Service.pp r;
-    if verbose then Fmt.pr "verdicts: %s@." (Service.verdicts_csv r);
-    Option.iter
-      (fun path ->
-         Ibr_harness.Csv_out.append path ~header:Service.csv_header
-           (Service.to_csv_row r))
-      output;
-    (* CI gates on the SLO verdict. *)
-    if not r.Service.slo_pass then exit 1
+  Fmt.pr "%a@." Service.pp r;
+  if verbose then Fmt.pr "verdicts: %s@." (Service.verdicts_csv r);
+  Option.iter
+    (fun path ->
+       Ibr_harness.Csv_out.append path ~header:Service.csv_header
+         (Service.to_csv_row r))
+    output;
+  (* CI gates on the SLO verdict. *)
+  if not r.Service.slo_pass then exit 1
 
 (* ---- model checking (--check / --check-replay) ---- *)
 
@@ -394,7 +394,9 @@ let service =
                  bursty schedule (diurnal ramp + spikes), Zipf-skewed \
                  keys, worker fibers joining and leaving the tracker \
                  census, SLO pass/fail verdicts (exit status 1 on \
-                 FAIL).  -t sets the census capacity, -i the horizon.")
+                 FAIL).  -t sets the census capacity, -i the horizon; \
+                 -m, -b and the tracker-config flags apply, and -f, \
+                 --meta, --trace and --hist are refused.")
 
 let service_fleet =
   Arg.(value & opt (some int) None
@@ -474,6 +476,14 @@ let cmd =
               slo_p999 slo_peak ->
           if menu_flag then list_menu ()
           else
+            let base =
+              { Cli.rideable; tracker; threads; interval; mix; retire;
+                faults }
+            in
+            let tune =
+              override_tracker_cfg ~empty_freq ~epoch_freq
+                ~background_reclaim ~magazine_size ~handoff_batch
+            in
             try
               match check, check_replay with
               | Some target, _ ->
@@ -481,8 +491,20 @@ let cmd =
                   ~out:check_out ~verbose
               | None, Some path -> run_replay ~path
               | None, None when service ->
-                run_service ~rideable ~tracker ~threads ~interval ~cores
-                  ~seed ~backend ~fleet:service_fleet ~period:service_period
+                (* Flags the open loop has no meaning for are refused,
+                   not silently dropped. *)
+                (match
+                   List.filter_map
+                     (fun (set, flag) -> if set then Some flag else None)
+                     [ (faults <> "none", "-f"); (metas <> [], "--meta");
+                       (trace <> None, "--trace"); (hist, "--hist") ]
+                 with
+                 | [] -> ()
+                 | flags ->
+                   failwith
+                     ("--service does not take " ^ String.concat ", " flags));
+                run_service ~base ~tune ~cores ~seed ~backend
+                  ~fleet:service_fleet ~period:service_period
                   ~arrival:service_arrival ~zipf:service_zipf
                   ~watchdog:service_watchdog ~slo_p50 ~slo_p99 ~slo_p999
                   ~slo_peak ~key_range ~output ~verbose
@@ -493,13 +515,10 @@ let cmd =
                   Ibr_obs.Trace_export.observe ~trace ~hist
                     ~threads:(threads + 2) (fun () ->
                       List.iter
-                        (fun (base : Cli.base) ->
-                           run_one ~base ~cores ~seed ~backend ~empty_freq
-                             ~epoch_freq ~key_range ~background_reclaim
-                             ~magazine_size ~handoff_batch ~output ~verbose)
-                        (Cli.expand_metas metas
-                           { Cli.rideable; tracker; threads; interval; mix;
-                             retire; faults }))
+                        (fun base ->
+                           run_one ~base ~tune ~cores ~seed ~backend
+                             ~key_range ~output ~verbose)
+                        (Cli.expand_metas metas base))
                 in
                 if not trace_ok then Stdlib.exit 1
             with

@@ -1,12 +1,14 @@
-(* The one run loop both backends share (DESIGN.md §11).
+(* The one run lifecycle both backends and both loops share
+   (DESIGN.md §11).
 
-   [run] owns every piece of scaffolding the two runners used to
-   duplicate — create/prefill, capacity sizing from the post-prefill
-   working set, the handoff pre-drain, the metrics baseline, the
-   background-reclaimer service thread, the watchdog, shutdown
-   quiescence, stats assembly — and drives it through a
-   {!Runner_intf.exec}: the record of what a backend can do.  The two
-   constructors here build that record.
+   [Phases] owns every piece of scaffolding a run needs — prefill, the
+   op dispatch, the background-reclaimer service thread, the watchdog,
+   the handoff pre-drain, the metrics baseline, launch, shutdown
+   quiescence, the gauge publishes — over a {!Runner_intf.exec}: the
+   record of what a backend can do.  [run] is the closed loop on top of
+   it (capacity sizing, the fixed worker census, stats assembly);
+   [Service] is the open loop on top of the same phases.  The two
+   constructors here build the exec record.
 
    [sim_exec] wraps a discrete-event {!Sched.t}.  Its closures are
    chosen so the engine replays the old [Runner_sim.run] {e exactly}:
@@ -188,7 +190,7 @@ let domains_exec ~threads ~duration_s ~seed ~faults () : Runner_intf.exec =
     publish_crashes = (fun () -> ());
   }
 
-(* -- the shared run loop -- *)
+(* -- the shared run lifecycle -- *)
 
 (* Fail fast when the mix draws on a capability the rideable does not
    export, naming the rideables that could run it instead. *)
@@ -218,38 +220,158 @@ let check_caps ~ds_name (module S : Ds_intf.RIDEABLE) (mix : Workload.mix) =
          (Workload.mix_name mix) capable)
   end
 
+(* A closed-loop worker under [Stall_watchdog], or a service worker
+   with no demand left, idles here until the run ends. *)
+let rec park (exec : Runner_intf.exec) =
+  exec.wait 4096;
+  if exec.worker_running () then park exec
+
+type watch = { period : int; grace : int; neutralize : bool }
+
+type measured = {
+  makespan : int;
+  alloc : Ibr_core.Alloc.stats;
+  watchdog : Watchdog.t option;
+  metrics : Ibr_obs.Metrics.snapshot;
+}
+
+module Phases (S : Ds_intf.RIDEABLE) = struct
+  (* Prefill outside the measured run: through the map when there is
+     one (byte-identical to the historical prefill), else by enqueueing
+     the selected keys. *)
+  let prefill h0 (spec : Workload.spec) ~seed =
+    let insert =
+      match S.map with
+      | Some m -> fun ~key ~value -> m.Ds_intf.insert h0 ~key ~value
+      | None ->
+        (match S.queue with
+         | Some q ->
+           fun ~key ~value:_ ->
+             q.Ds_intf.enqueue h0 key;
+             true
+         | None -> fun ~key:_ ~value:_ -> false)
+    in
+    Workload.prefill ~rng:(Rng.create (seed lxor 0x5eed)) ~spec ~insert
+
+  (* One operation drawn from the mix; [false] when it aborted.  The
+     caller's [check_caps] guarantees every op the mix can draw has its
+     capability record. *)
+  let op h rng (spec : Workload.spec) ~key =
+    try
+      (match Workload.pick_op rng spec.mix with
+       | Workload.Insert ->
+         ignore ((Option.get S.map).Ds_intf.insert h ~key ~value:key)
+       | Workload.Remove -> ignore ((Option.get S.map).Ds_intf.remove h ~key)
+       | Workload.Get -> ignore ((Option.get S.map).Ds_intf.get h ~key)
+       | Workload.Scan ->
+         ignore
+           ((Option.get S.range).Ds_intf.range h ~lo:key
+              ~hi:(Workload.scan_hi spec key))
+       | Workload.Enqueue -> (Option.get S.queue).Ds_intf.enqueue h key
+       | Workload.Dequeue -> ignore ((Option.get S.queue).Ds_intf.dequeue h)
+       | Workload.Migrate -> ignore ((Option.get S.bulk).Ds_intf.migrate h));
+      true
+    with
+    | Ibr_core.Alloc.Exhausted
+    | Ibr_core.Fault.Memory_fault (Ibr_core.Fault.Alloc_exhausted, _) ->
+      (* Heap full after the backpressure ladder: the op aborted (its
+         reservations were released on unwind); later sweeps may free
+         room. *)
+      false
+
+  let measure ~(exec : Runner_intf.exec) t ~threads ~watch ?active ~progress
+      () =
+    (* The background reclaimer (tracker cfg [background_reclaim])
+       rides as one more service thread: it drains the handoff queues
+       and runs the sweep cadence on its own time budget, off the
+       mutators' critical path.  An idle poll still waits — on the sim
+       the step is both the livelock guard and the polling period. *)
+    let service = S.reclaim_service t in
+    (match service with
+     | Some svc ->
+       exec.spawn_aux (fun () ->
+         let idle_poll = 128 in
+         let rec loop () =
+           if exec.aux_running () then begin
+             if svc.Ibr_core.Handoff.drain () = 0 then exec.wait idle_poll;
+             loop ()
+           end
+         in
+         loop ())
+     | None -> ());
+    (* The watchdog rides as one more service thread. *)
+    let watchdog =
+      Option.map
+        (fun { period; grace; neutralize } ->
+           let remedy =
+             if neutralize then
+               Watchdog.Neutralize
+                 (fun tid ->
+                    exec.neutralize ~eject:(fun () -> S.eject t ~tid) ~tid)
+             else Watchdog.Eject
+           in
+           Watchdog.spawn_exec ~exec ~period ~grace ~threads ~remedy ?active
+             ~progress
+             ~footprint:(fun () -> (S.allocator_stats t).live)
+             ~eject:(fun tid -> S.eject t ~tid)
+             ())
+        watch
+    in
+    (* Prefill replacements may have queued retirements; drain them now
+       so the measured phase starts with empty queues and the shutdown
+       invariant (drained = pushed within the run) is exact. *)
+    (match service with
+     | Some svc -> ignore (svc.Ibr_core.Handoff.drain ())
+     | None -> ());
+    (* Baseline the registry counters at the edge of the measured phase
+       (gauges and histograms are zeroed here too). *)
+    let baseline = Ibr_obs.Metrics.begin_run () in
+    exec.launch ();
+    (* Shutdown quiescence: every worker has unwound/crashed/joined, so
+       one final flush moves still-queued blocks (including the batch
+       buffers of departed producers) into the reclaimer and sweeps.  A
+       crash that abandoned a fiber mid-drain leaves the handoff lock
+       held; the run is exclusive again, so seizing it is sound. *)
+    (match service with
+     | Some svc -> svc.Ibr_core.Handoff.shutdown_flush ()
+     | None -> ());
+    (* Publish the instance-scoped gauges, then snapshot. *)
+    let alloc = S.allocator_stats t in
+    Ibr_core.Alloc.publish_stats alloc;
+    Ibr_core.Epoch.publish (S.epoch_value t);
+    exec.publish_crashes ();
+    Option.iter Watchdog.publish watchdog;
+    {
+      makespan = exec.makespan ();
+      alloc;
+      watchdog;
+      metrics = Ibr_obs.Metrics.collect baseline;
+    }
+end
+
+(* The watchdog a fault profile arms. *)
+let watch_of_faults : Runner_intf.faults -> watch option = function
+  | Crash_watchdog { period; grace; _ } | Stall_watchdog { period; grace } ->
+    Some { period; grace; neutralize = false }
+  | Stall_neutralize { period; grace; _ } ->
+    Some { period; grace; neutralize = true }
+  | _ -> None
+
+(* -- the closed loop -- *)
+
 let run ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
     (module S : Ds_intf.RIDEABLE) (cfg : config) =
   Runner_intf.require exec cfg.faults;
   check_caps ~ds_name (module S) cfg.spec.mix;
-  (* Resolve the capability records once; the fail-fast above
-     guarantees every op the mix can draw has its record. *)
-  let mops = S.map and qops = S.queue and rops = S.range and bops = S.bulk in
+  let module P = Phases (S) in
   let t = S.create ~threads:cfg.threads cfg.tracker_cfg in
-  (* Prefill from a registration outside the measured run: through the
-     map when there is one (byte-identical to the historical prefill),
-     else by enqueueing the selected keys. *)
-  let h0 = S.register t ~tid:0 in
-  let prefill_rng = Rng.create (cfg.seed lxor 0x5eed) in
-  let prefill_insert =
-    match mops with
-    | Some m -> fun ~key ~value -> m.Ds_intf.insert h0 ~key ~value
-    | None ->
-      (match qops with
-       | Some q ->
-         fun ~key ~value:_ ->
-           q.Ds_intf.enqueue h0 key;
-           true
-       | None -> fun ~key:_ ~value:_ -> false)
-  in
-  Workload.prefill ~rng:prefill_rng ~spec:cfg.spec ~insert:prefill_insert;
+  P.prefill (S.register t ~tid:0) cfg.spec ~seed:cfg.seed;
   (* The capacity can only be sized now: the working set exists. *)
   (match cfg.faults with
    | Crash_capped { slack_per_thread; _ } ->
      let st = S.allocator_stats t in
      S.set_capacity t (Some (st.live + (cfg.threads * slack_per_thread)))
    | _ -> ());
-  (* Measured phase. *)
   let ops = Array.make cfg.threads 0 in
   let aborted = Array.make cfg.threads 0 in
   let samplers = Array.init cfg.threads (fun _ -> Stats.make_sampler ()) in
@@ -257,118 +379,33 @@ let run ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
     exec.spawn (fun ~tid ->
       let h = S.register t ~tid in
       let rng = Rng.stream ~seed:cfg.seed ~index:tid in
-      (* Stall_watchdog's victim parks here between operations —
-         holding no reservation, so ejecting it is sound by
-         construction (the profile tests detection, not rescue). *)
-      let rec park () =
-        exec.wait 4096;
-        if exec.worker_running () then park ()
-      in
       (* Runs until the scheduler unwinds it at the horizon (sim) or
          [worker_tick] reports the wall deadline (domains). *)
       let rec loop () =
         Stats.sample samplers.(tid) (S.retired_count h);
         let key = Workload.pick_key rng cfg.spec in
-        (try
-           (match Workload.pick_op rng cfg.spec.mix with
-            | Workload.Insert ->
-              ignore ((Option.get mops).Ds_intf.insert h ~key ~value:key)
-            | Workload.Remove ->
-              ignore ((Option.get mops).Ds_intf.remove h ~key)
-            | Workload.Get -> ignore ((Option.get mops).Ds_intf.get h ~key)
-            | Workload.Scan ->
-              ignore
-                ((Option.get rops).Ds_intf.range h ~lo:key
-                   ~hi:(Workload.scan_hi cfg.spec key))
-            | Workload.Enqueue -> (Option.get qops).Ds_intf.enqueue h key
-            | Workload.Dequeue ->
-              ignore ((Option.get qops).Ds_intf.dequeue h)
-            | Workload.Migrate ->
-              ignore ((Option.get bops).Ds_intf.migrate h));
-           ops.(tid) <- ops.(tid) + 1
-         with
-         | Ibr_core.Alloc.Exhausted
-         | Ibr_core.Fault.Memory_fault (Ibr_core.Fault.Alloc_exhausted, _)
-           ->
-           (* Heap full after the backpressure ladder: the op
-              aborted (its reservations were released on unwind);
-              keep going — later sweeps may free room. *)
-           aborted.(tid) <- aborted.(tid) + 1);
+        if P.op h rng cfg.spec ~key then ops.(tid) <- ops.(tid) + 1
+        else aborted.(tid) <- aborted.(tid) + 1;
         match cfg.faults with
-        | Stall_watchdog _ when tid = 0 -> park ()
+        | Stall_watchdog _ when tid = 0 ->
+          (* The victim parks between operations — holding no
+             reservation, so ejecting it is sound by construction (the
+             profile tests detection, not rescue). *)
+          park exec
         | _ -> if exec.worker_tick ~tid then loop ()
       in
       loop ())
   done;
-  (* The background reclaimer (tracker cfg [background_reclaim]) rides
-     as one more service thread: it drains the handoff queues and runs
-     the sweep cadence on its own time budget, off the mutators'
-     critical path.  An idle poll still waits — on the sim the step is
-     both the livelock guard and the polling period. *)
-  let service = S.reclaim_service t in
-  (match service with
-   | Some svc ->
-     exec.spawn_aux (fun () ->
-       let idle_poll = 128 in
-       let rec loop () =
-         if exec.aux_running () then begin
-           if svc.Ibr_core.Handoff.drain () = 0 then exec.wait idle_poll;
-           loop ()
-         end
-       in
-       loop ())
-   | None -> ());
-  (* The watchdog rides as one more service thread.  Progress =
-     attempts, not completions, so a live thread stuck aborting
-     against a full heap is not mistaken for a dead one. *)
-  let watchdog =
-    let spawn_dog ~period ~grace ~remedy =
-      Watchdog.spawn_exec ~exec ~period ~grace ~threads:cfg.threads
-        ~remedy
-        ~progress:(fun tid -> ops.(tid) + aborted.(tid))
-        ~footprint:(fun () -> (S.allocator_stats t).live)
-        ~eject:(fun tid -> S.eject t ~tid)
-        ()
-    in
-    match cfg.faults with
-    | Crash_watchdog { period; grace; _ } | Stall_watchdog { period; grace }
-      ->
-      Some (spawn_dog ~period ~grace ~remedy:Watchdog.Eject)
-    | Stall_neutralize { period; grace; _ } ->
-      Some
-        (spawn_dog ~period ~grace
-           ~remedy:
-             (Watchdog.Neutralize
-                (fun tid ->
-                  exec.neutralize ~eject:(fun () -> S.eject t ~tid) ~tid)))
-    | _ -> None
+  (* Watchdog progress = attempts, not completions, so a live thread
+     stuck aborting against a full heap is not mistaken for a dead
+     one. *)
+  let m =
+    P.measure ~exec t ~threads:cfg.threads ~watch:(watch_of_faults cfg.faults)
+      ~progress:(fun tid -> ops.(tid) + aborted.(tid))
+      ()
   in
-  (* Prefill replacements may have queued retirements; drain them now
-     so the measured phase starts with empty queues and the shutdown
-     invariant (drained = pushed within the run) is exact. *)
-  (match service with
-   | Some svc -> ignore (svc.Ibr_core.Handoff.drain ())
-   | None -> ());
-  (* Baseline the registry counters at the edge of the measured phase
-     (gauges and histograms are zeroed here too). *)
-  let baseline = Ibr_obs.Metrics.begin_run () in
-  exec.launch ();
-  (* Shutdown quiescence: every worker has unwound/crashed/joined, so
-     one final flush moves still-queued blocks (including the batch
-     buffers of departed producers) into the reclaimer and sweeps.  A
-     crash that abandoned a fiber mid-drain leaves the handoff lock
-     held; the run is exclusive again, so seizing it is sound. *)
-  (match service with
-   | Some svc -> svc.Ibr_core.Handoff.shutdown_flush ()
-   | None -> ());
   let total_ops = Array.fold_left ( + ) 0 ops in
   let merged = Stats.merge_samplers (Array.to_list samplers) in
-  let makespan = exec.makespan () in
-  (* Publish the instance-scoped gauges, then snapshot. *)
-  Ibr_core.Alloc.publish_stats (S.allocator_stats t);
-  Ibr_core.Epoch.publish (S.epoch_value t);
-  exec.publish_crashes ();
-  (match watchdog with Some w -> Watchdog.publish w | None -> ());
   {
     Stats.tracker = tracker_name;
     ds = ds_name;
@@ -376,19 +413,26 @@ let run ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
     mix = Workload.mix_name cfg.spec.mix;
     backend = exec.backend;
     ops = total_ops;
-    makespan;
-    throughput = Stats.throughput ~ops:total_ops ~makespan;
+    makespan = m.makespan;
+    throughput = Stats.throughput ~ops:total_ops ~makespan:m.makespan;
     avg_unreclaimed = Stats.mean merged;
     peak_unreclaimed = merged.peak;
     samples = merged.n;
-    metrics = Ibr_obs.Metrics.collect baseline;
+    metrics = m.metrics;
   }
 
-(* Convenience: resolve names through the registries and run. *)
-let run_named ~exec ~tracker_name ~ds_name cfg =
+(* Resolve names through the tracker and data-structure registries:
+   the rideable instantiated over the tracker, under the tracker's
+   canonical name, or [None] when the pairing is incompatible. *)
+let resolve ~tracker_name ~ds_name =
   let tracker = (Ibr_core.Registry.find_exn tracker_name).tracker in
   let maker = Ds_registry.find_exn ds_name in
   let (module S : Ds_intf.RIDEABLE) = maker.instantiate tracker in
   let (module T : Ibr_core.Tracker_intf.TRACKER) = tracker in
-  if not (S.compatible T.props) then None
-  else Some (run ~exec ~tracker_name:T.name ~ds_name (module S) cfg)
+  if S.compatible T.props then Some (T.name, (module S : Ds_intf.RIDEABLE))
+  else None
+
+let run_named ~exec ~tracker_name ~ds_name cfg =
+  Option.map
+    (fun (tracker_name, m) -> run ~exec ~tracker_name ~ds_name m cfg)
+    (resolve ~tracker_name ~ds_name)

@@ -98,13 +98,15 @@ let engine_config cfg = {
   faults = cfg.faults;
 }
 
+let exec_of_config cfg =
+  Run_engine.sim_exec ~sched:(Sched.create (sched_config cfg))
+    ~horizon:cfg.horizon
+
 let run ~tracker_name ~ds_name (module S : Ds_intf.RIDEABLE) (cfg : config) =
-  let sched = Sched.create (sched_config cfg) in
-  let exec = Run_engine.sim_exec ~sched ~horizon:cfg.horizon in
-  Run_engine.run ~exec ~tracker_name ~ds_name (module S) (engine_config cfg)
+  Run_engine.run ~exec:(exec_of_config cfg) ~tracker_name ~ds_name
+    (module S) (engine_config cfg)
 
 (* Convenience: resolve names through the registries and run. *)
 let run_named ~tracker_name ~ds_name cfg =
-  let sched = Sched.create (sched_config cfg) in
-  let exec = Run_engine.sim_exec ~sched ~horizon:cfg.horizon in
-  Run_engine.run_named ~exec ~tracker_name ~ds_name (engine_config cfg)
+  Run_engine.run_named ~exec:(exec_of_config cfg) ~tracker_name ~ds_name
+    (engine_config cfg)

@@ -209,56 +209,29 @@ type result = {
   throughput : float;     (* completed requests per Mcycle *)
   verdicts : verdict list;
   slo_pass : bool;
-  metrics : Ibr_obs.Metrics.snapshot;
 }
-
-(* Registered on first use, not at module init: these columns must
-   not leak into the fixed-census CSV layout (test_obs pins it
-   byte-for-byte) unless a service run actually happened. *)
-let service_metrics =
-  lazy
-    (let open Ibr_obs.Metrics in
-     let latency = register_histogram ~name:"svc_latency" ~order:900 in
-     let arrivals = register_gauge ~name:"svc_arrivals" ~order:910 in
-     let completed = register_gauge ~name:"svc_completed" ~order:911 in
-     let aborted = register_gauge ~name:"svc_aborted" ~order:912 in
-     let attaches = register_gauge ~name:"svc_attaches" ~order:913 in
-     let detaches = register_gauge ~name:"svc_detaches" ~order:914 in
-     let p999 = register_gauge ~name:"svc_p999" ~order:915 in
-     (latency, arrivals, completed, aborted, attaches, detaches, p999))
-
-(* Same index convention as [Ibr_obs.Metrics.percentile], so the p50
-   and p99 published through the registry histogram and the p999
-   computed here are one consistent family. *)
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0
-  else sorted.(min (n - 1) (int_of_float (float_of_int n *. p)))
 
 let check ~metric ~target ~actual =
   { metric; target; actual; ok = target = max_int || actual <= target }
 
-(* The run loop over a backend [exec] (same discipline as
-   [Run_engine]): on the simulator — the [run] entry point below —
-   [exec]'s closures make this identical, step for step and PRNG draw
-   for PRNG draw, to the pre-extraction fiber runner, keeping service
-   rows byte-reproducible.  On domains the arrival schedule is the
-   same precomputed array, timestamps are microseconds of monotonic
-   wall clock, and the deadline is observed through
-   [exec.worker_running] (always true on the sim, where the horizon
-   unwinds fibers instead). *)
+(* The open loop over a backend [exec]: the arrival schedule, the
+   fleet's attach/session/detach loop and the latency digest are the
+   service's own; prefill, op dispatch and the measured phase
+   (reclaimer, watchdog, launch, gauges) are [Run_engine]'s.  On domains
+   the arrival schedule is the same precomputed array, timestamps are
+   microseconds of monotonic wall clock, and the deadline is observed
+   through [exec.worker_running] (always true on the sim, where the
+   horizon unwinds fibers instead). *)
 let run_exec ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
     (module S : Ds_intf.RIDEABLE) (p : profile) =
   Runner_intf.require_capability exec "service";
   Run_engine.check_caps ~ds_name (module S) p.spec.mix;
-  if p.workers < 1 then invalid_arg "Service.run: workers must be >= 1";
-  if p.fleet < 1 then invalid_arg "Service.run: fleet must be >= 1";
-  if p.period < 1 then invalid_arg "Service.run: period must be >= 1";
+  if p.workers < 1 then invalid_arg "Service: workers must be >= 1";
+  if p.fleet < 1 then invalid_arg "Service: fleet must be >= 1";
+  if p.period < 1 then invalid_arg "Service: period must be >= 1";
   if p.session_ops < 1 then
-    invalid_arg "Service.run: session_ops must be >= 1";
-  (* Capability records, resolved once (the fail-fast above covers
-     every op the mix can draw). *)
-  let mops = S.map and qops = S.queue and rops = S.range and bops = S.bulk in
+    invalid_arg "Service: session_ops must be >= 1";
+  let module P = Run_engine.Phases (S) in
   let t = S.create ~threads:p.workers p.tracker_cfg in
   (* Prefill through an attached handle, detached before the run: the
      measured phase starts with a fully free census and a populated
@@ -267,19 +240,7 @@ let run_exec ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
   (match S.attach t with
    | None -> assert false   (* fresh census is never full *)
    | Some h0 ->
-     let prefill_rng = Rng.create (p.seed lxor 0x5eed) in
-     let prefill_insert =
-       match mops with
-       | Some m -> fun ~key ~value -> m.Ds_intf.insert h0 ~key ~value
-       | None ->
-         (match qops with
-          | Some q ->
-            fun ~key ~value:_ ->
-              q.Ds_intf.enqueue h0 key;
-              true
-          | None -> fun ~key:_ ~value:_ -> false)
-     in
-     Workload.prefill ~rng:prefill_rng ~spec:p.spec ~insert:prefill_insert;
+     P.prefill h0 p.spec ~seed:p.seed;
      S.detach h0);
   let arrivals, arrivals_capped = gen_arrivals p in
   let n_arr = Array.length arrivals in
@@ -308,35 +269,14 @@ let run_exec ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
     let now = exec.now () in
     if ta > now then exec.wait (ta - now);
     let key = Workload.zipf_pick zipf rng in
-    try
-      (match Workload.pick_op rng p.spec.mix with
-       | Workload.Insert ->
-         ignore ((Option.get mops).Ds_intf.insert h ~key ~value:key)
-       | Workload.Remove ->
-         ignore ((Option.get mops).Ds_intf.remove h ~key)
-       | Workload.Get -> ignore ((Option.get mops).Ds_intf.get h ~key)
-       | Workload.Scan ->
-         ignore
-           ((Option.get rops).Ds_intf.range h ~lo:key
-              ~hi:(Workload.scan_hi p.spec key))
-       | Workload.Enqueue -> (Option.get qops).Ds_intf.enqueue h key
-       | Workload.Dequeue -> ignore ((Option.get qops).Ds_intf.dequeue h)
-       | Workload.Migrate -> ignore ((Option.get bops).Ds_intf.migrate h));
-      lat.(i) <- exec.now () - ta
-    with
-    | Ibr_core.Alloc.Exhausted
-    | Ibr_core.Fault.Memory_fault (Ibr_core.Fault.Alloc_exhausted, _) ->
-      lat.(i) <- -2
+    lat.(i) <- (if P.op h rng p.spec ~key then exec.now () - ta else -2)
   in
   for w = 0 to p.fleet - 1 do
     exec.spawn (fun ~tid:_ ->
       let rng = Rng.stream ~seed:p.seed ~index:(0x1000 + w) in
       (* Stagger the fleet so sessions do not churn in lockstep. *)
       exec.wait (1 + (w * 131));
-      let rec park () =
-        exec.wait 4096;
-        if exec.worker_running () then park ()
-      and join () =
+      let rec join () =
         match S.attach t with
         | None ->
           (* Census full: another worker holds every slot.  Back
@@ -366,7 +306,7 @@ let run_exec ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
             (* Demand exhausted: leave properly and idle out the
                rest of the horizon. *)
             leave h slot;
-            park ()
+            Run_engine.park exec
           end
           else begin
             serve h slot i rng;
@@ -380,91 +320,39 @@ let run_exec ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
       in
       join ())
   done;
-  (* Background reclaimer service thread, as in [Run_engine]. *)
-  let reclaim = S.reclaim_service t in
-  (match reclaim with
-   | Some svc ->
-     exec.spawn_aux (fun () ->
-       let rec loop () =
-         if exec.aux_running () then begin
-           if svc.Ibr_core.Handoff.drain () = 0 then exec.wait 128;
-           loop ()
-         end
-       in
-       loop ())
-   | None -> ());
-  let watchdog =
-    match p.watchdog with
-    | Some (period, grace) ->
-      let remedy =
-        if p.neutralize then
-          Watchdog.Neutralize
-            (fun tid ->
-              exec.neutralize ~eject:(fun () -> S.eject t ~tid) ~tid)
-        else Watchdog.Eject
-      in
-      Some
-        (Watchdog.spawn_exec ~exec ~period ~grace ~threads:p.workers
-           ~remedy
-           ~active:(fun slot -> slot_active.(slot))
-           ~progress:(fun slot -> slot_attempts.(slot))
-           ~footprint:(fun () -> (S.allocator_stats t).live)
-           ~eject:(fun tid -> S.eject t ~tid)
-           ())
-    | None -> None
+  let m =
+    P.measure ~exec t ~threads:p.workers
+      ~watch:
+        (Option.map
+           (fun (period, grace) ->
+              { Run_engine.period; grace; neutralize = p.neutralize })
+           p.watchdog)
+      ~active:(fun slot -> slot_active.(slot))
+      ~progress:(fun slot -> slot_attempts.(slot))
+      ()
   in
-  let lat_h, m_arr, m_comp, m_ab, m_att, m_det, m_p999 =
-    Lazy.force service_metrics
-  in
-  let baseline = Ibr_obs.Metrics.begin_run () in
-  exec.launch ();
-  (match reclaim with
-   | Some svc -> svc.Ibr_core.Handoff.shutdown_flush ()
-   | None -> ());
   (* Digest latencies: completed requests only. *)
-  let completed = ref 0 and aborted = ref 0 in
-  Array.iter
-    (fun l ->
-       if l >= 0 then incr completed else if l = -2 then incr aborted)
-    lat;
-  let sorted = Array.make !completed 0 in
-  let k = ref 0 in
-  Array.iter
-    (fun l ->
-       if l >= 0 then begin
-         sorted.(!k) <- l;
-         incr k
-       end)
-    lat;
+  let sorted = Array.of_seq (Seq.filter (fun l -> l >= 0) (Array.to_seq lat)) in
   Array.sort compare sorted;
-  Array.iter (fun l -> if l >= 0 then Ibr_obs.Metrics.observe lat_h l) lat;
-  let p50 = percentile sorted 0.50 in
-  let p90 = percentile sorted 0.90 in
-  let p99 = percentile sorted 0.99 in
-  let p999 = percentile sorted 0.999 in
-  let max_latency =
-    if !completed = 0 then 0 else sorted.(!completed - 1) in
-  let st = S.allocator_stats t in
-  let makespan = exec.makespan () in
-  m_arr := n_arr;
-  m_comp := !completed;
-  m_ab := !aborted;
-  m_att := Atomic.get attaches;
-  m_det := Atomic.get detaches;
-  m_p999 := p999;
-  Ibr_core.Alloc.publish_stats st;
-  Ibr_core.Epoch.publish (S.epoch_value t);
-  exec.publish_crashes ();
-  (match watchdog with Some w -> Watchdog.publish w | None -> ());
+  let completed = Array.length sorted in
+  let aborted = Array.fold_left (fun n l -> if l = -2 then n + 1 else n) 0 lat in
+  let percentile = Ibr_obs.Metrics.percentile sorted completed in
+  let p50 = percentile 0.50 in
+  let p90 = percentile 0.90 in
+  let p99 = percentile 0.99 in
+  let p999 = percentile 0.999 in
+  let max_latency = if completed = 0 then 0 else sorted.(completed - 1) in
+  let peak_footprint = m.alloc.peak_footprint in
   let verdicts =
     [
       check ~metric:"p50" ~target:p.slo.p50 ~actual:p50;
       check ~metric:"p99" ~target:p.slo.p99 ~actual:p99;
       check ~metric:"p999" ~target:p.slo.p999 ~actual:p999;
       check ~metric:"peak_footprint" ~target:p.slo.peak_footprint
-        ~actual:st.peak_footprint;
+        ~actual:peak_footprint;
     ]
   in
+  let dog f = match m.watchdog with Some w -> f w | None -> 0 in
   {
     tracker = tracker_name;
     ds = ds_name;
@@ -473,47 +361,31 @@ let run_exec ~(exec : Runner_intf.exec) ~tracker_name ~ds_name
     fleet = p.fleet;
     arrivals = n_arr;
     arrivals_capped;
-    completed = !completed;
-    aborted = !aborted;
-    unserved = n_arr - !completed - !aborted;
+    completed;
+    aborted;
+    unserved = n_arr - completed - aborted;
     attaches = Atomic.get attaches;
     detaches = Atomic.get detaches;
     attach_full = Atomic.get attach_full;
-    ejections =
-      (match watchdog with Some w -> Watchdog.ejections w | None -> 0);
-    neutralizations =
-      (match watchdog with Some w -> Watchdog.neutralizations w | None -> 0);
-    recovered =
-      (match watchdog with Some w -> Watchdog.recovered w | None -> 0);
+    ejections = dog Watchdog.ejections;
+    neutralizations = dog Watchdog.neutralizations;
+    recovered = dog Watchdog.recovered;
     p50;
     p90;
     p99;
     p999;
     max_latency;
-    peak_footprint = st.peak_footprint;
-    makespan;
-    throughput = Stats.throughput ~ops:!completed ~makespan;
+    peak_footprint;
+    makespan = m.makespan;
+    throughput = Stats.throughput ~ops:completed ~makespan:m.makespan;
     verdicts;
     slo_pass = List.for_all (fun v -> v.ok) verdicts;
-    metrics = Ibr_obs.Metrics.collect baseline;
   }
 
-(* Simulator entry point (the historical API): build the machine from
-   the profile and run through its exec. *)
-let run ~tracker_name ~ds_name (module S : Ds_intf.RIDEABLE) (p : profile) =
-  let sched =
-    Sched.create { Sched.default_config with cores = p.cores; seed = p.seed }
-  in
-  let exec = Run_engine.sim_exec ~sched ~horizon:p.horizon in
-  run_exec ~exec ~tracker_name ~ds_name (module S) p
-
 let run_named_exec ~exec ~tracker_name ~ds_name p =
-  let tracker = (Ibr_core.Registry.find_exn tracker_name).tracker in
-  let maker = Ds_registry.find_exn ds_name in
-  let (module S : Ds_intf.RIDEABLE) = maker.instantiate tracker in
-  let (module T : Ibr_core.Tracker_intf.TRACKER) = tracker in
-  if not (S.compatible T.props) then None
-  else Some (run_exec ~exec ~tracker_name:T.name ~ds_name (module S) p)
+  Option.map
+    (fun (tracker_name, m) -> run_exec ~exec ~tracker_name ~ds_name m p)
+    (Run_engine.resolve ~tracker_name ~ds_name)
 
 let run_named ~tracker_name ~ds_name p =
   let sched =

@@ -109,44 +109,32 @@ type result = {
   throughput : float;   (** completed requests per Mcycle *)
   verdicts : verdict list;
   slo_pass : bool;
-  metrics : Ibr_obs.Metrics.snapshot;
 }
-
-val run :
-  tracker_name:string -> ds_name:string ->
-  (module Ibr_ds.Ds_intf.RIDEABLE) -> profile -> result
-(** One full service run on a fresh instance.  Prefills through a
-    temporary attach/detach, spawns [fleet] workers plus the
-    background reclaimer (if the tracker has one) and the optional
-    watchdog, runs to [horizon], and digests latencies and verdicts.
-    Service metrics ([svc_*]) are registered in the metric registry on
-    first call — never at module init, so binaries that do not run a
-    service keep their CSV layout.
-    @raise Invalid_argument on non-positive [workers], [fleet],
-    [period], or [session_ops]. *)
-
-val run_exec :
-  exec:Runner_intf.exec -> tracker_name:string -> ds_name:string ->
-  (module Ibr_ds.Ds_intf.RIDEABLE) -> profile -> result
-(** {!run} over an explicit backend.  On a {!Run_engine.sim_exec} this
-    is exactly {!run}; on a {!Run_engine.domains_exec} the same
-    precomputed arrival schedule plays out against the monotonic wall
-    clock (microsecond units — [horizon], [period], [away] and the SLO
-    targets carry over under the 1 cycle ~ 1 us convention) with real
-    attach/detach churn across domains.
-    @raise Runner_intf.Unsupported if the backend lacks the
-    ["service"] capability. *)
 
 val run_named :
   tracker_name:string -> ds_name:string -> profile -> result option
-(** Resolve by registry names; [None] if the tracker cannot run this
-    rideable (see {!Ibr_ds.Ds_intf.RIDEABLE.compatible}).
-    @raise Not_found on unknown names. *)
+(** One full service run on a fresh instance of the simulator, sized
+    by [profile.cores] and seeded by [profile.seed].  Prefills through
+    a temporary attach/detach, spawns [fleet] workers, then runs
+    {!Run_engine.Phases.measure} — the same reclaimer, watchdog,
+    launch and gauge phase as the closed loop — to [horizon], and
+    digests latencies and verdicts.  [None] if the tracker cannot run
+    this rideable (see {!Ibr_ds.Ds_intf.RIDEABLE.compatible}).
+    @raise Not_found on unknown names.
+    @raise Invalid_argument on non-positive [workers], [fleet],
+    [period], or [session_ops]. *)
 
 val run_named_exec :
   exec:Runner_intf.exec -> tracker_name:string -> ds_name:string ->
   profile -> result option
-(** {!run_named} over an explicit backend. *)
+(** {!run_named} over an explicit backend.  On a
+    {!Run_engine.domains_exec} the same precomputed arrival schedule
+    plays out against the monotonic wall clock (microsecond units —
+    [horizon], [period], [away] and the SLO targets carry over under
+    the 1 cycle ~ 1 us convention) with real attach/detach churn
+    across domains.
+    @raise Runner_intf.Unsupported if the backend lacks the
+    ["service"] capability. *)
 
 val csv_header : string
 val to_csv_row : result -> string

@@ -30,7 +30,10 @@
    domains that is a real monitor domain sleeping [period]
    microseconds of monotonic wall clock per round, reading the
    workers' progress counters racily (stale reads only delay an
-   ejection by a round, which the grace budget absorbs).
+   ejection by a round, which the grace budget absorbs).  [publish]
+   writes the three counts to the ejections / neutralizations /
+   recovered gauges, registered at module init so the rows-CSV schema
+   never depends on which remedy ran first.
 
    The progress heuristic is exactly that — a heuristic.  Ejecting a
    thread that is merely slow (deep oversubscription, a long injected
@@ -78,34 +81,27 @@ let footprint_recovered w = w.footprint_recovered
 let ejected w tid = w.ejected.(tid)
 let neutralized w tid = w.neutralized.(tid)
 
-(* Watchdog instances are per-run; the metric is published at end.
-   The neutralization gauges are registered lazily, at the first
-   Neutralize-watchdog creation, so runs that never neutralize keep
-   the legacy CSV layout byte-for-byte (same precedent as the
-   histogram columns; see Metrics). *)
-let gauge = Ibr_obs.Metrics.register_gauge ~name:"ejections" ~order:510
+(* Watchdog instances are per-run; the counts are published at end of
+   run.  All three gauges register at module init, so the rows-CSV
+   schema is fixed at start-up whatever ran before (a run without a
+   watchdog, or with the other remedy, reports zeros). *)
+let ejections_gauge =
+  Ibr_obs.Metrics.register_gauge ~name:"ejections" ~order:510
 
-let neutralize_gauges =
-  lazy
-    ( Ibr_obs.Metrics.register_gauge ~name:"neutralizations" ~order:511,
-      Ibr_obs.Metrics.register_gauge ~name:"recovered" ~order:512 )
+let neutralizations_gauge =
+  Ibr_obs.Metrics.register_gauge ~name:"neutralizations" ~order:511
+
+let recovered_gauge = Ibr_obs.Metrics.register_gauge ~name:"recovered" ~order:512
 
 let publish w =
-  gauge := w.ejections;
-  match w.remedy with
-  | Eject -> ()
-  | Neutralize _ ->
-    let ng, rg = Lazy.force neutralize_gauges in
-    ng := w.neutralizations;
-    rg := w.recovered
+  ejections_gauge := w.ejections;
+  neutralizations_gauge := w.neutralizations;
+  recovered_gauge := w.recovered
 
 let make ~period ~grace ~threads ~remedy ~active ~progress ~footprint
     ~eject =
   if period < 1 then invalid_arg "Watchdog: period < 1";
   if grace < 1 then invalid_arg "Watchdog: grace < 1";
-  (match remedy with
-   | Eject -> ()
-   | Neutralize _ -> ignore (Lazy.force neutralize_gauges));
   {
     threads;
     grace;

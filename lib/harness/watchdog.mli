@@ -102,8 +102,7 @@ val neutralized : t -> int -> bool
     (the counter has not moved since). *)
 
 val publish : t -> unit
-(** Publish {!ejections} to the ["ejections"] metric gauge (end of
-    run), plus ["neutralizations"]/["recovered"] for a {!Neutralize}
-    watchdog (those gauges are registered lazily at the first
-    neutralize-watchdog creation, so ejection-only runs keep the
-    legacy CSV layout). *)
+(** Publish {!ejections}, {!neutralizations} and {!recovered} to the
+    metric gauges of the same names (end of run).  The gauges are
+    registered at module init, so every rows CSV carries the three
+    columns whichever remedy ran. *)

@@ -20,8 +20,12 @@
    - [Histogram]: a distribution observed during the run (retire-to-
      reclaim age).  Snapshots to four columns (p50/p90/p99/max) and is
      cleared by [begin_run].  Histograms are registered lazily — only
-     when tracing asks for them — so the default CSV column set is
-     exactly the pre-registry one (the golden-file test pins it).
+     when tracing asks for them (--hist) — so their columns are
+     opt-in.
+
+   Counters and gauges register at module init, never on first use:
+   the default CSV column set is then fixed at start-up, whatever ran
+   earlier in the process (the golden-file test pins it).
 
    Column order is an explicit [order] key, not registration order:
    module initialisation order is a linker artifact we refuse to

@@ -24,6 +24,11 @@ val observe : hist -> int -> unit
 (* (n, p50, p90, p99, max) of the current observations. *)
 val summary : hist -> int * int * int * int * int
 
+(* [percentile sorted n p]: the value at rank [n * p] of the first [n]
+   entries of an ascending array (0 when [n = 0]); the index formula
+   behind every percentile column. *)
+val percentile : int array -> int -> float -> int
+
 (* Header columns, in order. *)
 val columns : unit -> string list
 

@@ -198,8 +198,7 @@ let test_domains_crash_unsupported () =
     [ "crash"; "crash+capped"; "crash+watchdog" ]
 
 (* The gate fires before any work: a backend without the service
-   capability cannot even begin an open-loop run (and, load-bearing
-   for the test ordering, does not register the svc_* metrics). *)
+   capability cannot even begin an open-loop run. *)
 let test_service_requires_capability () =
   let exec =
     dummy_exec { Run_engine.domains_caps with Runner_intf.service = false }

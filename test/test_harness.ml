@@ -249,6 +249,39 @@ let test_groups_expand () =
   Alcotest.(check int) "all: native + figures + 4 sim campaigns" 14
     (count "all")
 
+(* Every rows-CSV line has the header's width, even when a profile
+   that arms the neutralizing watchdog runs after one that does not:
+   the schema is fixed at start-up, not widened by what ran before. *)
+let test_robust_csv_aligned () =
+  let rows =
+    Experiment.robustness_sweep ~trackers:[ "EBR" ]
+      ~profiles:[ "none"; "stall+neutralize" ] ~horizons:[ 20_000 ] ()
+  in
+  let lines =
+    String.split_on_char '\n' (String.trim (Csv_out.rows_tagged rows)) in
+  let width l = List.length (String.split_on_char ',' l) in
+  Alcotest.(check int) "header + one row per profile" 3 (List.length lines);
+  List.iter
+    (fun l -> Alcotest.(check int) l (width (List.hd lines)) (width l))
+    lines
+
+(* Neither a service run nor a neutralizing watchdog registers a
+   metric on first use. *)
+let test_columns_fixed_at_startup () =
+  let before = Ibr_obs.Metrics.columns () in
+  let spec = { (Workload.spec_for "hashmap") with key_range = 256 } in
+  ignore
+    (Service.run_named ~tracker_name:"EBR" ~ds_name:"hashmap"
+       (Service.default_profile ~workers:2 ~fleet:3 ~cores:2 ~horizon:5_000
+          ~spec ()));
+  let cfg =
+    Runner_sim.default_config ~threads:3 ~horizon:5_000 ~cores:2
+      ~faults:(Cli.parse_faults "stall+neutralize") ~spec ()
+  in
+  ignore (Runner_sim.run_named ~tracker_name:"EBR" ~ds_name:"hashmap" cfg);
+  Alcotest.(check (list string)) "same columns" before
+    (Ibr_obs.Metrics.columns ())
+
 let suite =
   [
     Alcotest.test_case "mix rates" `Quick test_mix_rates;
@@ -258,6 +291,10 @@ let suite =
     Alcotest.test_case "throughput math" `Quick test_throughput_math;
     Alcotest.test_case "sampler" `Quick test_sampler;
     Alcotest.test_case "csv row shape" `Quick test_csv_row_shape;
+    Alcotest.test_case "robust csv rows aligned" `Quick
+      test_robust_csv_aligned;
+    Alcotest.test_case "csv columns fixed at start-up" `Quick
+      test_columns_fixed_at_startup;
     Alcotest.test_case "summary throughput unit" `Quick
       test_pp_throughput_unit;
     Alcotest.test_case "chart render" `Quick test_chart_render;

@@ -25,10 +25,6 @@ let () =
       ("robustness", Test_robustness.suite);
       ("engine", Test_engine.suite);
       ("obs", Test_obs.suite);
-      (* Last on purpose: a service run lazily registers svc_* metrics,
-         which widens the registry CSV layout test_obs pins. *)
       ("service", Test_service.suite);
-      (* After service for the same reason: a Neutralize watchdog
-         lazily registers the neutralizations/recovered gauges. *)
       ("neutralize", Test_neutralize.suite);
     ]
